@@ -1,6 +1,6 @@
 # Convenience targets for the SODA reproduction.
 
-.PHONY: install test lint chaos coverage bench bench-compare bench-pytest experiments report examples obs-demo market-demo scenarios all
+.PHONY: install test lint chaos coverage bench bench-compare bench-pytest experiments report regold examples obs-demo market-demo scenarios all
 
 install:
 	pip install -e . || python setup.py develop
@@ -34,6 +34,11 @@ experiments:
 
 report:
 	soda-experiments report --out EXPERIMENTS.md
+
+# Re-pin tests/golden/digests.json.  Only for an intended behaviour
+# change; every re-pin must be justified in CHANGES.md.
+regold:
+	PYTHONPATH=src python -m tests.golden.digests
 
 examples:
 	python examples/quickstart.py

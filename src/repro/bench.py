@@ -217,16 +217,19 @@ def bench_switch_dispatch_throughput() -> Dict[str, float]:
 
     15 waves of 40 concurrent requests against a 3-node service; the
     batched arm coalesces each wave into shared dispatcher/classify/
-    forward work.  Event counts are deterministic, wall clocks are the
-    measured win.
+    forward work.  A third arm runs the batched dispatch with a retry
+    policy and a timeout budget installed (no faults), which gives the
+    composed attempt pipeline its own layer number.  Event counts are
+    deterministic, wall clocks are the measured win.
     """
     from repro.core import MachineConfig, ResourceRequirement, build_paper_testbed
     from repro.core.auth import Credentials
     from repro.core.node import Request
+    from repro.faults.retry import BackoffPolicy
     from repro.guestos.syscall import SyscallMix
     from repro.image.profiles import make_s1_web_content
 
-    def run(batched: bool):
+    def run(batched: bool, guarded: bool = False):
         testbed = build_paper_testbed(seed=0)
         repo = testbed.add_repository()
         repo.publish(make_s1_web_content())
@@ -239,6 +242,9 @@ def bench_switch_dispatch_throughput() -> Dict[str, float]:
         record = testbed.master.get_service("web")
         if batched:
             record.switch.enable_batching(window_s=0.002, max_batch=64)
+        if guarded:
+            record.switch.retry_policy = BackoffPolicy()
+            record.switch.request_timeout_s = 30.0
         client = testbed.add_client("client-1")
         mix = SyscallMix(user_mcycles=1.2, n_syscalls=33)
 
@@ -264,13 +270,17 @@ def bench_switch_dispatch_throughput() -> Dict[str, float]:
 
     unbatched_events, unbatched_wall, _ = run(batched=False)
     batched_events, batched_wall, switch = run(batched=True)
+    guarded_events, guarded_wall, guarded = run(batched=True, guarded=True)
     assert batched_events < unbatched_events
+    assert guarded.failovers == guarded.timeouts == 0
     return {
         "unbatched_events": unbatched_events,
         "batched_events": batched_events,
         "batches_dispatched": switch.batches_dispatched,
         "event_reduction_x": round(unbatched_events / batched_events, 2),
         "wall_speedup_x": round(unbatched_wall / batched_wall, 2),
+        "guarded_batched_events": guarded_events,
+        "guarded_overhead_x": round(guarded_wall / batched_wall, 2),
     }
 
 

@@ -18,38 +18,48 @@ The serving path modelled per request:
    back-end's host to the client (direct-server-return, so the switch
    never carries response bandwidth).
 
-Crashed nodes are skipped at dispatch time; if no healthy node remains
-the request fails with :class:`ServiceUnavailableError`.
+Every request runs one pipeline: ingress, the shed check, then an
+attempt loop.  Each attempt gets a back-end from one *dispatch step*
+and ends in one per-request tail — count the dispatch, close the
+dispatch span, run the back-end, record the response time, notify the
+outcome.  Crashed (and quarantined) nodes are skipped at selection; if
+no healthy node remains the attempt fails with
+:class:`ServiceUnavailableError`.
+
+The dispatch step has two forms:
+
+* *Batching off* (the default): a batch of one, run inline by the
+  request — the dispatcher slot, the classify slice and selection; the
+  tail then makes the forward hop.  No extra process or event.
+* *Batching on* (:meth:`ServiceSwitch.enable_batching`, extension):
+  same-class requests arriving within a small window coalesce into one
+  batch that pays *one* dispatcher slot, one classify slice and one
+  combined forward transfer per chosen back-end, so a burst of n
+  requests costs O(groups) scheduling/LAN events instead of O(n).
+  Selection still runs per member, so per-request accounting (ingress
+  flow, response-time sample, outcome, span chain) is untouched; the
+  dispatch span widens to cover the wait for the batch.
+
+Failover (extension) is a property of the loop, not a separate path.
+With a :attr:`ServiceSwitch.retry_policy` installed (capped exponential
+backoff, see :class:`repro.faults.retry.BackoffPolicy` — duck-typed:
+anything with ``max_attempts`` and ``delay(attempt)``) a failed attempt
+backs off and re-dispatches — re-batching, when batching is on —
+against replicas the request has not failed on yet.  With a
+:attr:`ServiceSwitch.request_timeout_s` budget the loop has a deadline
+(:class:`~repro.core.errors.RequestTimeoutError`).  With either
+installed, each attempt's tail runs as its own process, which the
+budget abandons on expiry.  Without a policy the loop runs one
+attempt; without a budget it has no deadline.
+A health checker (:class:`repro.faults.health.SwitchHealthChecker`) can
+additionally :meth:`~ServiceSwitch.quarantine` nodes so dispatch never
+even tries a dead replica between watchdog reboots.
 
 SLA hooks (extension): a shedder installed by the SODA Master drops
 requests when backlog saturates (class-priority load shedding, bronze
 first — see :mod:`repro.sla.enforcement`), and outcome listeners (e.g.
 an :class:`~repro.sla.monitor.SLOMonitor`) receive every per-request
 outcome — ``(time, latency, "ok" | "failed" | "shed")`` — as it happens.
-
-Dispatch batching (extension): :meth:`ServiceSwitch.enable_batching`
-turns on adaptive dispatch coalescing — same-class requests arriving
-within a small window share *one* dispatcher slot, one classify CPU
-slice, and one combined forward transfer per chosen back-end, so a
-burst of n requests costs O(groups) scheduling/LAN events instead of
-O(n).  Per-request accounting is untouched: every request keeps its own
-ingress flow, response-time sample, outcome notification, and span
-chain (the dispatch span simply widens to cover the wait for the
-batch).  Off by default — the serving path and its digests are
-bit-identical until a caller opts in.
-
-Failover hooks (extension): with a :attr:`ServiceSwitch.retry_policy`
-(capped exponential backoff, see :class:`repro.faults.retry.BackoffPolicy`
-— duck-typed: anything with ``max_attempts`` and ``delay(attempt)``)
-and/or a :attr:`ServiceSwitch.request_timeout_s` budget installed, the
-switch re-runs failed dispatches against replicas it has not tried yet,
-backing off between attempts, until the request succeeds, the attempts
-are exhausted, or the timeout budget runs out
-(:class:`~repro.core.errors.RequestTimeoutError`).  A health checker
-(:class:`repro.faults.health.SwitchHealthChecker`) can additionally
-:meth:`~ServiceSwitch.quarantine` nodes so dispatch never even tries a
-dead replica between watchdog reboots.  Both hooks default to off, in
-which case the serving path is exactly the pre-failover one.
 """
 
 from __future__ import annotations
@@ -88,8 +98,9 @@ class _DispatchBatch:
 
     def __init__(self, sim: Simulator, key: str):
         self.key = key
-        # (request, joined-event) pairs; each event fires with
-        # ``(backend, exc)`` once the batch's shared work is done.
+        # (request, exclusion set, joined-event) triples; each event
+        # fires with ``(backend, exc)`` once the batch's shared work is
+        # done.
         self.members: List[tuple] = []
         self.full: Event = Event(sim)
         self.closed = False
@@ -130,14 +141,9 @@ class ServiceSwitch:
         # listeners tap the per-request outcome stream.
         self.shedder: Optional[Any] = None
         self._outcome_listeners: List[Callable[[float, Optional[float], str], None]] = []
-        # Failover hooks (off by default — the plain serving path runs
-        # unchanged unless one of these is installed).  Both are
-        # properties: their setters reject configuration while dispatch
-        # batching is enabled (and enable_batching rejects the reverse),
-        # so the documented incompatibility is enforced both ways at
-        # configuration time.
-        self._retry_policy: Optional[Any] = None
-        self._request_timeout_s: Optional[float] = None
+        # Failover hooks (off by default: one attempt, no deadline).
+        self.retry_policy: Optional[Any] = None
+        self.request_timeout_s: Optional[float] = None
         self.quarantined: Set[str] = set()
         self.failovers = 0
         self.timeouts = 0
@@ -221,33 +227,6 @@ class ServiceSwitch:
         for listener in self._outcome_listeners:
             listener(self.sim.now, latency_s, outcome)
 
-    # -- failover configuration (mutually exclusive with batching) -----------
-    @property
-    def retry_policy(self) -> Optional[Any]:
-        return self._retry_policy
-
-    @retry_policy.setter
-    def retry_policy(self, policy: Optional[Any]) -> None:
-        if policy is not None and getattr(self, "_batching", None) is not None:
-            raise ValueError(
-                "the failover engine is incompatible with dispatch batching "
-                "(disable_batching() first)"
-            )
-        self._retry_policy = policy
-
-    @property
-    def request_timeout_s(self) -> Optional[float]:
-        return self._request_timeout_s
-
-    @request_timeout_s.setter
-    def request_timeout_s(self, timeout_s: Optional[float]) -> None:
-        if timeout_s is not None and getattr(self, "_batching", None) is not None:
-            raise ValueError(
-                "the failover engine is incompatible with dispatch batching "
-                "(disable_batching() first)"
-            )
-        self._request_timeout_s = timeout_s
-
     # -- dispatch batching (extension) ----------------------------------------
     def enable_batching(self, window_s: float = 0.001, max_batch: int = 32) -> None:
         """Coalesce same-class requests into shared dispatch batches.
@@ -255,17 +234,12 @@ class ServiceSwitch:
         A request arriving while a batch for its class is open joins it;
         the batch dispatches when ``window_s`` elapses after it opened or
         when it reaches ``max_batch`` members, whichever comes first.
-        Incompatible with the failover engine (an attempt retried on a
-        new replica cannot share another request's forward transfer).
+        A retried attempt re-batches with whatever batch is open then.
         """
         if window_s <= 0:
             raise ValueError(f"window_s must be positive, got {window_s}")
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if self.retry_policy is not None or self.request_timeout_s is not None:
-            raise ValueError(
-                "dispatch batching is incompatible with the failover engine"
-            )
         self._batching = (window_s, max_batch)
 
     def disable_batching(self) -> None:
@@ -337,7 +311,7 @@ class ServiceSwitch:
 
         Requests targeting a component of a partitionable service are
         restricted to that component's nodes.  ``exclude`` removes nodes
-        by name — the failover path uses it to avoid re-trying a replica
+        by name — the attempt loop uses it to avoid re-trying a replica
         that already failed this request.
         """
         candidates = self._healthy()
@@ -360,6 +334,23 @@ class ServiceSwitch:
             # service by falling back to the first healthy node.
             choice = candidates[0]
         return choice
+
+    def _pick(self, request: Request, tried: Set[str]) -> tuple:
+        """``(backend, None)`` or ``(None, failure)``, avoiding ``tried``.
+
+        When every live replica has already failed this request, the
+        exclusion set resets so a watchdog-rebooted node gets a chance.
+        """
+        try:
+            return self.select(request, exclude=tried), None
+        except ServiceUnavailableError as exc:
+            if not tried:
+                return None, exc
+        tried.clear()
+        try:
+            return self.select(request), None
+        except ServiceUnavailableError as exc:
+            return None, exc
 
     def serve(self, request: Request) -> Generator[Event, Any, NodeResponse]:
         """Full client-visible request path (simulated-process step)."""
@@ -400,87 +391,113 @@ class ServiceSwitch:
             raise RequestSheddedError(
                 f"service {self.service_name!r} shed a request under load"
             )
-        # Failover path (extension): with a retry policy or a timeout
-        # budget installed, dispatch attempts run — and re-run — through
-        # the failover engine.  Neither installed: the plain path below
-        # is untouched, keeping fault-free digests bit-identical.
-        if self.retry_policy is not None or self.request_timeout_s is not None:
-            response = yield from self._serve_with_failover(
-                request, started, lane, root, dispatch, owns_root
-            )
-            return response
-        # Batching path (extension): join/open a coalescing batch; the
-        # batch pays the dispatcher slot, classify CPU, and forward
-        # transfers once on behalf of all its members.
-        if self._batching is not None:
-            response = yield from self._serve_batched(
-                request, started, root, dispatch, owns_root
-            )
-            return response
-        # 2. Switch processing (serialised).
+        # The attempt loop.  A retry policy or a budget runs each tail as
+        # its own process (the budget abandons it, not cancels it — the
+        # back-end finishes the work like a real server whose client
+        # hung up); neither installed, the tail runs inline.
+        policy = self.retry_policy
+        max_attempts = policy.max_attempts if policy is not None else 1
+        deadline = (
+            None if self.request_timeout_s is None
+            else started + self.request_timeout_s
+        )
+        guarded = policy is not None or deadline is not None
+        tried: Set[str] = set()
+        any_dispatched = False
+        attempt = 0
+        while True:
+            attempt += 1
+            # 2. The dispatch step (serialised through the dispatcher).
+            forwarded = self._batching is not None
+            if forwarded:
+                backend, failure = yield from self._join_batch(request, tried)
+            else:
+                backend, failure = yield from self._classify(request, tried)
+            if backend is not None:
+                if deadline is not None and deadline - self.sim.now <= 0:
+                    failure = self._timeout_failure()
+                    break
+                any_dispatched = True
+                tail = self._attempt(backend, request, forwarded, dispatch)
+                if not guarded:
+                    response, exc = yield from tail
+                else:
+                    proc = self.sim.process(tail, name=f"attempt:{backend.name}")
+                    if deadline is None:
+                        response, exc = yield proc
+                    else:
+                        guard = self.sim.timeout(deadline - self.sim.now)
+                        yield self.sim.any_of([proc, guard])
+                        if proc.is_alive:
+                            # Budget exhausted mid-attempt; abandon it.
+                            failure = self._timeout_failure()
+                            break
+                        response, exc = proc.value
+                if exc is None:
+                    elapsed = self.sim.now - started
+                    self.response_times.record(self.sim.now, elapsed)
+                    self._notify(elapsed, "ok")
+                    self._obs_outcome("ok", elapsed)
+                    if owns_root:
+                        root.finish(self.sim.now).annotate(node=response.node_name)
+                    return response
+                failure = exc
+                tried.add(backend.name)
+            if attempt >= max_attempts:
+                break
+            # Back off before the next attempt, clamped to the budget.
+            self.failovers += 1
+            cache = self._obs_metrics()
+            if cache is not None:
+                cache[4].inc(service=self.service_name)
+            if dispatch is not None and dispatch.finished:
+                # The re-dispatch (backoff included) is its own segment,
+                # so the request's spans still tile its response time.
+                dispatch = tracer.start_span(
+                    "dispatch", lane=lane, start=self.sim.now, parent=root,
+                    attempt=attempt + 1,
+                )
+                if self.tenant is not None:
+                    dispatch.annotate(tenant=self.tenant)
+            delay = policy.delay(attempt)
+            if deadline is not None:
+                remaining = deadline - self.sim.now
+                if remaining <= 0:
+                    failure = self._timeout_failure()
+                    break
+                if delay > remaining:
+                    delay = remaining
+            if delay > 0:
+                yield self.sim.timeout(delay)
+        if any_dispatched:
+            self.rejected += 1
+        self._notify(None, "failed")
+        self._obs_outcome("failed")
+        self._finish_spans(dispatch, root if owns_root else None, "failed")
+        raise failure
+
+    # -- the dispatch step -----------------------------------------------------
+    def _classify(
+        self, request: Request, tried: Set[str]
+    ) -> Generator[Event, Any, tuple]:
+        """A batch of one, run inline: dispatcher slot, classify, select."""
         slot = self._dispatcher.request()
         try:
             yield slot
             yield self.sim.timeout(
                 SWITCH_CPU_MCYCLES / self.home_node.host.cpu_mhz
             )
-            try:
-                backend = self.select(request)
-            except ServiceUnavailableError:
-                self._notify(None, "failed")
-                self._obs_outcome("failed")
-                self._finish_spans(dispatch, root if owns_root else None, "failed")
-                raise
+            return self._pick(request, tried)
         finally:
             self._dispatcher.release(slot)
-        # 3. Forward to the back-end (loopback when co-located).
-        forward = self.lan.transfer(
-            self.home_node.host.nic, backend.host.nic, REQUEST_SIZE_MB,
-            label=f"switch:{self.service_name}:fwd",
-        )
-        yield forward.done
-        # 4. Back-end serves; response returns directly to the client.
-        self.dispatched += 1
-        self.per_node_count[backend.name] = self.per_node_count.get(backend.name, 0) + 1
-        cache = self._obs_metrics()
-        if cache is not None:
-            cache[3].inc(service=self.service_name, node=backend.name)
-        if dispatch is not None:
-            # The back-end process bootstraps at this same instant, so
-            # closing the dispatch segment here makes it contiguous with
-            # the node's queue_wait segment.
-            dispatch.finish(self.sim.now).annotate(node=backend.name)
-        try:
-            response = yield self.sim.process(
-                backend.serve(request), name=f"serve:{backend.name}"
-            )
-        except SODAError:
-            self.rejected += 1
-            self._notify(None, "failed")
-            self._obs_outcome("failed")
-            self._finish_spans(None, root if owns_root else None, "failed")
-            raise
-        elapsed = self.sim.now - started
-        self.response_times.record(self.sim.now, elapsed)
-        self._notify(elapsed, "ok")
-        self._obs_outcome("ok", elapsed)
-        if owns_root:
-            root.finish(self.sim.now).annotate(node=response.node_name)
-        return response
 
-    # -- dispatch batching engine (extension) ---------------------------------
-    def _serve_batched(
-        self, request: Request, started: float, root, dispatch, owns_root: bool
-    ) -> Generator[Event, Any, NodeResponse]:
-        """Member side of the batched serving path.
+    def _join_batch(
+        self, request: Request, tried: Set[str]
+    ) -> Generator[Event, Any, tuple]:
+        """Join (or open) the request's class batch; wait for its work.
 
-        Runs after the request's own ingress and shed check.  The member
-        joins (or opens) its class's batch, waits for the batch's shared
-        dispatch work, then serves and accounts exactly like the plain
-        path: its own back-end process, response-time sample, outcome
-        notification, and spans — the dispatch span closes at the same
-        instant the back-end process starts, so span tiling per request
-        is preserved.
+        Resumes with ``(backend, exc)`` once the batch has selected a
+        back-end for this member and its forward transfer has landed.
         """
         window_s, max_batch = self._batching
         key = request.component
@@ -493,41 +510,10 @@ class ServiceSwitch:
                 name=f"batch:{self.service_name}:{key or '-'}",
             )
         joined = Event(self.sim)
-        batch.members.append((request, joined))
+        batch.members.append((request, tried, joined))
         if len(batch.members) >= max_batch and not batch.full.triggered:
             batch.full.succeed()
-        backend, exc = yield joined
-        if exc is not None:
-            self._notify(None, "failed")
-            self._obs_outcome("failed")
-            self._finish_spans(dispatch, root if owns_root else None, "failed")
-            raise exc
-        # Shared work done (forward transfer included); from here the
-        # member path is the plain path's per-request tail.
-        self.dispatched += 1
-        self.per_node_count[backend.name] = self.per_node_count.get(backend.name, 0) + 1
-        cache = self._obs_metrics()
-        if cache is not None:
-            cache[3].inc(service=self.service_name, node=backend.name)
-        if dispatch is not None:
-            dispatch.finish(self.sim.now).annotate(node=backend.name)
-        try:
-            response = yield self.sim.process(
-                backend.serve(request), name=f"serve:{backend.name}"
-            )
-        except SODAError:
-            self.rejected += 1
-            self._notify(None, "failed")
-            self._obs_outcome("failed")
-            self._finish_spans(None, root if owns_root else None, "failed")
-            raise
-        elapsed = self.sim.now - started
-        self.response_times.record(self.sim.now, elapsed)
-        self._notify(elapsed, "ok")
-        self._obs_outcome("ok", elapsed)
-        if owns_root:
-            root.finish(self.sim.now).annotate(node=response.node_name)
-        return response
+        return (yield joined)
 
     def _run_batch(
         self, batch: _DispatchBatch, window_s: float
@@ -554,10 +540,9 @@ class ServiceSwitch:
             yield self.sim.timeout(
                 SWITCH_CPU_MCYCLES / self.home_node.host.cpu_mhz
             )
-            for req, joined in batch.members:
-                try:
-                    backend = self.select(req)
-                except ServiceUnavailableError as exc:
+            for req, tried, joined in batch.members:
+                backend, exc = self._pick(req, tried)
+                if backend is None:
                     joined.succeed((None, exc))
                     continue
                 groups.setdefault(backend, []).append(joined)
@@ -578,161 +563,35 @@ class ServiceSwitch:
                 ]
             )
 
-    # -- failover engine (extension) -----------------------------------------
-    def _serve_with_failover(
-        self, request: Request, started: float, lane: str,
-        root, dispatch, owns_root: bool,
-    ) -> Generator[Event, Any, NodeResponse]:
-        """Serving tail with retry, failover, and a timeout budget.
-
-        Runs after ingress and the shed check.  Each attempt pays the
-        dispatcher slot + classify CPU again (the switch really does
-        re-dispatch), picks a replica the request has not failed on yet,
-        and races the attempt against the remaining timeout budget.  A
-        failed attempt backs off per the retry policy before the next
-        one; when every live replica has been tried, the exclusion set
-        resets so watchdog-rebooted nodes get a chance.  A timed-out
-        attempt is abandoned, not cancelled — the back-end finishes the
-        work like a real server whose client hung up.
-        """
-        policy = self.retry_policy
-        max_attempts = policy.max_attempts if policy is not None else 1
-        deadline = (
-            None if self.request_timeout_s is None
-            else started + self.request_timeout_s
-        )
-        tracer = tracer_of(self.sim)
-        cache = self._obs_metrics()
-        tried: Set[str] = set()
-        failure: Optional[SODAError] = None
-        any_dispatched = False
-        attempt = 0
-        while attempt < max_attempts:
-            attempt += 1
-            # Switch processing (serialised), once per attempt.
-            backend = None
-            slot = self._dispatcher.request()
-            try:
-                yield slot
-                yield self.sim.timeout(
-                    SWITCH_CPU_MCYCLES / self.home_node.host.cpu_mhz
-                )
-                try:
-                    backend = self.select(request, exclude=tried)
-                except ServiceUnavailableError as exc:
-                    failure = exc
-                    if tried:
-                        # Every replica failed this request once already;
-                        # a watchdog reboot may have revived one — widen
-                        # the net before writing the attempt off.
-                        tried.clear()
-                        try:
-                            backend = self.select(request)
-                            failure = None
-                        except ServiceUnavailableError as again:
-                            failure = again
-            finally:
-                self._dispatcher.release(slot)
-            if dispatch is not None and not dispatch.finished:
-                dispatch.finish(self.sim.now).annotate(
-                    node=backend.name if backend is not None else "-"
-                )
-            if backend is not None:
-                if deadline is not None and deadline - self.sim.now <= 0:
-                    failure = self._timeout_failure(cache)
-                    break
-                span = None
-                if tracer is not None:
-                    span = tracer.start_span(
-                        "attempt", lane=lane, start=self.sim.now, parent=root,
-                        node=backend.name, attempt=attempt,
-                    )
-                any_dispatched = True
-                proc = self.sim.process(
-                    self._attempt(backend, request), name=f"attempt:{backend.name}"
-                )
-                if deadline is None:
-                    response, exc = yield proc
-                else:
-                    guard = self.sim.timeout(deadline - self.sim.now)
-                    yield self.sim.any_of([proc, guard])
-                    if proc.is_alive:
-                        # Budget exhausted mid-attempt; abandon it.
-                        if span is not None:
-                            span.finish(self.sim.now, "timeout")
-                        failure = self._timeout_failure(cache)
-                        break
-                    response, exc = proc.value
-                if exc is None:
-                    if span is not None:
-                        span.finish(self.sim.now)
-                    elapsed = self.sim.now - started
-                    self.response_times.record(self.sim.now, elapsed)
-                    self._notify(elapsed, "ok")
-                    self._obs_outcome("ok", elapsed)
-                    if owns_root:
-                        root.finish(self.sim.now).annotate(node=response.node_name)
-                    return response
-                failure = exc
-                tried.add(backend.name)
-                if span is not None:
-                    span.finish(self.sim.now, "failed")
-            if attempt >= max_attempts:
-                break
-            # Back off before the next attempt, clamped to the budget.
-            self.failovers += 1
-            if cache is not None:
-                cache[4].inc(service=self.service_name)
-            delay = policy.delay(attempt) if policy is not None else 0.0
-            if deadline is not None:
-                remaining = deadline - self.sim.now
-                if remaining <= 0:
-                    failure = self._timeout_failure(cache)
-                    break
-                if delay > remaining:
-                    delay = remaining
-            if delay > 0:
-                yield self.sim.timeout(delay)
-        if failure is None:  # pragma: no cover - defensive
-            failure = ServiceUnavailableError(
-                f"service {self.service_name!r} exhausted its attempts"
-            )
-        if any_dispatched:
-            self.rejected += 1
-        self._notify(None, "failed")
-        self._obs_outcome("failed")
-        self._finish_spans(dispatch, root if owns_root else None, "failed")
-        raise failure
-
-    def _timeout_failure(self, cache) -> RequestTimeoutError:
-        self.timeouts += 1
-        if cache is not None:
-            cache[5].inc(service=self.service_name)
-        return RequestTimeoutError(
-            f"service {self.service_name!r} request exceeded its "
-            f"{self.request_timeout_s:g}s budget"
-        )
-
+    # -- the per-request tail ----------------------------------------------------
     def _attempt(
-        self, backend: VirtualServiceNode, request: Request
+        self, backend: VirtualServiceNode, request: Request, forwarded: bool, dispatch
     ) -> Generator[Event, Any, tuple]:
-        """One dispatch attempt; returns ``(response, exc)``, never raises.
+        """One attempt on ``backend``; returns ``(response, exc)``.
 
-        Catching :class:`SODAError` inside the child process keeps an
-        abandoned (timed-out) attempt from failing a process nobody is
-        left awaiting.
+        Makes the forward hop unless a batch already did, counts the
+        dispatch, closes the dispatch segment and runs the back-end.
+        Catching :class:`SODAError` here keeps an abandoned (timed-out)
+        attempt from failing a process nobody is left awaiting.
         """
-        # Forward to the back-end (loopback when co-located).
-        forward = self.lan.transfer(
-            self.home_node.host.nic, backend.host.nic, REQUEST_SIZE_MB,
-            label=f"switch:{self.service_name}:fwd",
-        )
-        yield forward.done
+        if not forwarded:
+            # 3. Forward to the back-end (loopback when co-located).
+            forward = self.lan.transfer(
+                self.home_node.host.nic, backend.host.nic, REQUEST_SIZE_MB,
+                label=f"switch:{self.service_name}:fwd",
+            )
+            yield forward.done
+        # 4. Back-end serves; response returns directly to the client.
         self.dispatched += 1
         self.per_node_count[backend.name] = self.per_node_count.get(backend.name, 0) + 1
         cache = self._obs_metrics()
         if cache is not None:
             cache[3].inc(service=self.service_name, node=backend.name)
+        if dispatch is not None and not dispatch.finished:
+            # The back-end process bootstraps at this same instant, so
+            # closing the dispatch segment here makes it contiguous with
+            # the node's queue_wait segment.
+            dispatch.finish(self.sim.now).annotate(node=backend.name)
         try:
             response = yield self.sim.process(
                 backend.serve(request), name=f"serve:{backend.name}"
@@ -740,6 +599,16 @@ class ServiceSwitch:
         except SODAError as exc:
             return None, exc
         return response, None
+
+    def _timeout_failure(self) -> RequestTimeoutError:
+        self.timeouts += 1
+        cache = self._obs_metrics()
+        if cache is not None:
+            cache[5].inc(service=self.service_name)
+        return RequestTimeoutError(
+            f"service {self.service_name!r} request exceeded its "
+            f"{self.request_timeout_s:g}s budget"
+        )
 
     def _finish_spans(self, dispatch, root, status: str) -> None:
         """Close still-open spans on an error path (no-op for None)."""

@@ -111,8 +111,7 @@ def run(seed: int = 0, fast: bool = False) -> ExperimentResult:
         experiment_id=EXPERIMENT_ID,
         title=TITLE,
         headers=[
-            "workers", "wall (s)", "epochs", "messages", "msgs/epoch",
-            "requests", "stall frac", "digest",
+            "workers", "epochs", "messages", "msgs/epoch", "requests", "digest",
         ],
     )
 
@@ -124,12 +123,10 @@ def run(seed: int = 0, fast: bool = False) -> ExperimentResult:
         runs[n_workers] = run_result
         result.add_row(
             n_workers,
-            f"{run_result.wall_s:.3f}",
             run_result.epochs,
             run_result.messages,
             f"{run_result.msgs_per_epoch:.1f}",
             run_result.total_requests,
-            f"{run_result.barrier_stall_fraction:.3f}",
             run_result.digest_sha[:12],
         )
 
@@ -242,10 +239,6 @@ def run(seed: int = 0, fast: bool = False) -> ExperimentResult:
             tolerance_rel=0.0,
         )
 
-    result.series["wall seconds by worker count"] = (
-        [float(n) for n in worker_counts],
-        [runs[n].wall_s for n in worker_counts],
-    )
     digest_full = hashlib.sha256(
         reference.digest_sha.encode()
     ).hexdigest()[:8]
@@ -259,8 +252,10 @@ def run(seed: int = 0, fast: bool = False) -> ExperimentResult:
         "bit-identical across worker counts "
         f"{tuple(worker_counts)} — the conservative epoch barrier "
         "(global sort by deliver-time, sender, sequence) makes the "
-        "process layout unobservable.  Wall times on this host share "
-        "one core; see BENCH for the critical-path projection.  "
+        "process layout unobservable.  Host wall-clock and barrier-stall "
+        "figures vary run to run, so they stay out of this report: the "
+        "federated_parallel_throughput bench and the --metrics-out "
+        "fedprofile artefact carry them.  "
         f"Observability on: digests unchanged, {stats['spans']} spans in "
         f"{stats['traces']} federation-wide traces reassembled "
         "byte-identically at every worker count."

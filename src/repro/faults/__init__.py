@@ -9,7 +9,7 @@ the operator's tooling so that story can be tested end to end:
 * :mod:`repro.faults.injector` — :class:`FaultInjector`: arms a
   schedule against live nodes and the LAN; keeps a comparable log.
 * :mod:`repro.faults.retry` — :class:`BackoffPolicy`: capped
-  exponential backoff the switch failover engine consults.
+  exponential backoff the switch's attempt loop consults.
 * :mod:`repro.faults.health` — :class:`SwitchHealthChecker`:
   probe-based quarantine of dead replicas.
 * :mod:`repro.faults.chaos` — the full chaos scenario harness shared

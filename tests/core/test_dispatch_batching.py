@@ -4,7 +4,8 @@ The contract: batching is opt-in, coalesces same-class requests into
 one dispatcher slot + one classify slice + one combined forward
 transfer per back-end, *reduces kernel events* under bursts — and
 leaves per-request accounting (dispatch counts, response-time samples,
-outcome stream, span tiling) exactly as rich as the plain path.
+outcome stream, span tiling) exactly as rich as the plain path.  It
+composes with failover: a retried attempt re-batches.
 """
 
 import pytest
@@ -12,13 +13,16 @@ import pytest
 from repro.core import MachineConfig, ResourceRequirement, build_paper_testbed
 from repro.core.auth import Credentials
 from repro.core.node import Request
+from repro.faults.injector import FaultInjector
 from repro.faults.retry import BackoffPolicy
+from repro.faults.schedule import FaultEvent, FaultKind, FaultSchedule
 from repro.guestos.syscall import SyscallMix
 from repro.image.profiles import make_s1_web_content
 from repro.obs import Observability
 from repro.workload.clients import ClientPool
 from repro.workload.siege import Siege
 from tests.core.conftest import create_service
+from tests.faults.conftest import _three_host_testbed
 
 
 def make_request(client, response_mb=0.1):
@@ -135,38 +139,6 @@ def test_enable_batching_validates_its_knobs(testbed):
         record.switch.enable_batching(max_batch=0)
 
 
-def test_batching_rejects_the_failover_engine(testbed):
-    _, record = create_service(testbed, n=2)
-    record.switch.retry_policy = BackoffPolicy(max_attempts=2)
-    with pytest.raises(ValueError, match="incompatible"):
-        record.switch.enable_batching()
-    record.switch.retry_policy = None
-    record.switch.request_timeout_s = 1.0
-    with pytest.raises(ValueError, match="incompatible"):
-        record.switch.enable_batching()
-
-
-def test_failover_engine_rejects_batching_both_ways(testbed):
-    """The reverse direction: installing retry/timeout while batching
-    is enabled raises at configuration time (not at serve time)."""
-    _, record = create_service(testbed, n=2)
-    record.switch.enable_batching()
-    with pytest.raises(ValueError, match="incompatible"):
-        record.switch.retry_policy = BackoffPolicy(max_attempts=2)
-    with pytest.raises(ValueError, match="incompatible"):
-        record.switch.request_timeout_s = 1.0
-    # The failed assignments left nothing behind.
-    assert record.switch.retry_policy is None
-    assert record.switch.request_timeout_s is None
-    # Clearing (None) is always allowed, and disabling batching
-    # reopens the failover path.
-    record.switch.retry_policy = None
-    record.switch.disable_batching()
-    record.switch.retry_policy = BackoffPolicy(max_attempts=2)
-    record.switch.request_timeout_s = 1.0
-    assert record.switch.retry_policy is not None
-
-
 def test_disable_batching_restores_the_plain_path(testbed):
     _, record = create_service(testbed, n=2)
     client = testbed.add_client("client-1")
@@ -218,3 +190,59 @@ def test_spans_still_tile_under_batching():
         assert segments[-1].end == root.end
         for left, right in zip(segments, segments[1:]):
             assert left.end == right.start
+
+
+@pytest.mark.parametrize("seed", [3, 5, 9])
+def test_batching_composes_with_failover_under_node_crashes(seed):
+    # Batching, a retry policy and a timeout budget on one switch, with
+    # a replica crashing mid-burst: every request is accounted for once,
+    # crashed attempts fail over (re-batching), and the spans of every
+    # served request still tile its response time.
+    hub = Observability(tracing=True, metrics=True)
+    with hub.activate():
+        # Three equal hosts: the service gets one replica per host.
+        testbed = _three_host_testbed(seed=seed)
+        _, record = create_service(testbed, n=3)
+        switch = record.switch
+        switch.enable_batching(window_s=0.005, max_batch=16)
+        switch.retry_policy = BackoffPolicy(base_s=0.01, max_attempts=4)
+        switch.request_timeout_s = 2.0
+        outcomes = {"ok": 0, "failed": 0, "shed": 0}
+        switch.add_outcome_listener(
+            lambda _t, _lat, outcome: outcomes.__setitem__(
+                outcome, outcomes[outcome] + 1
+            )
+        )
+        FaultInjector(testbed.sim, testbed.lan, record.nodes).arm(
+            FaultSchedule([
+                FaultEvent(at=0.4, kind=FaultKind.NODE_CRASH, target=record.nodes[0].name),
+                FaultEvent(at=0.9, kind=FaultKind.NODE_CRASH, target=record.nodes[1].name),
+            ])
+        )
+        siege = Siege(
+            testbed.sim, switch, ClientPool(testbed.lan, n=2),
+            streams=testbed.streams, dataset_mb=0.5,
+        )
+        report = testbed.run(siege.run_open_loop(rate_rps=40.0, duration_s=1.5))
+    issued = report.completed + report.failures
+    assert outcomes["ok"] + outcomes["failed"] + outcomes["shed"] == issued
+    assert outcomes["ok"] == report.completed == len(switch.response_times.values)
+    assert switch.failovers > 0
+    assert switch.batches_dispatched > 0
+    requests = [
+        (root, segments)
+        for root, segments in hub.tracer.requests(status="ok")
+        if root.name == "request"
+    ]
+    assert len(requests) == report.completed
+    retried = 0
+    for root, segments in requests:
+        retried += sum(s.name == "dispatch" for s in segments) > 1
+        assert sum(s.duration for s in segments) == pytest.approx(
+            root.duration, abs=1e-9
+        )
+        assert segments[0].start == root.start
+        assert segments[-1].end == root.end
+        for left, right in zip(segments, segments[1:]):
+            assert left.end == right.start
+    assert retried > 0

@@ -1,8 +1,9 @@
-"""Switch failover engine: retry, backoff, timeout budget, counters."""
+"""Switch failover: retry, backoff, timeout budget, counters."""
 
 import pytest
 
 from repro.core.errors import RequestTimeoutError
+from repro.core.recovery import reboot_node
 from repro.core.node import ServiceUnavailableError
 from repro.faults.retry import BackoffPolicy
 from repro.workload.apps import web_request
@@ -84,6 +85,31 @@ class TestFailover:
         assert response.node_name == node_b.name
         assert switch.failovers >= 1
         assert switch.timeouts == 0
+
+    def test_exclusion_resets_once_every_replica_has_failed(self, spread_testbed):
+        """The only replica fails the request, then reboots in place: the
+        exclusion set resets rather than ruling out every node, so the
+        rebooted replica serves the retry."""
+        tb = spread_testbed
+        record = create_service(tb, n=1)
+        switch = record.switch
+        switch.retry_policy = BackoffPolicy(
+            base_s=0.5, factor=2.0, cap_s=4.0, max_attempts=10
+        )
+        (node,) = record.nodes
+
+        def hold_crash_reboot():
+            slot = node.workers.request()
+            yield slot
+            yield tb.sim.timeout(0.1)
+            node.vm.crash(cause="test")
+            node.workers.release(slot)
+            yield from reboot_node(tb.sim, node)
+
+        tb.spawn(hold_crash_reboot(), name="holder")
+        response = tb.run(switch.serve(_request(tb)), name="req")
+        assert response.node_name == node.name
+        assert switch.failovers >= 2
 
     def test_exhausted_attempts_raise_last_failure(self, spread_testbed):
         tb = spread_testbed
