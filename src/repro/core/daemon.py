@@ -33,8 +33,8 @@ from repro.net.http import HttpModel
 from repro.net.ip import IPAddressPool, IPPoolExhausted
 from repro.net.lan import LAN
 from repro.obs.metrics import registry_of
+from repro.obs.tracing import STATUS_FAILED, STATUS_OK, Tiling
 from repro.sim.kernel import Event, Simulator
-from repro.sim.trace import trace
 
 __all__ = ["SODADaemon"]
 
@@ -69,8 +69,22 @@ class SODADaemon:
         return self.host.reservations.available
 
     # -- observability --------------------------------------------------------
-    def _obs_stage(self, stage: str) -> None:
-        """Count one priming stage reached (observes, never perturbs)."""
+    def _stage(
+        self,
+        stages: Tiling,
+        stage: Optional[str],
+        then: Optional[str] = None,
+        status: str = STATUS_OK,
+    ) -> None:
+        """One priming stage boundary (observes, never perturbs): end the
+        open ``prime`` segment — starting segment ``then``, or, with none,
+        closing the span with ``status`` — and count ``stage`` reached."""
+        if then is None:
+            stages.close(self.sim.now, status)
+        else:
+            stages.advance(then, self.sim.now)
+        if stage is None:
+            return
         registry = registry_of(self.sim)
         if registry is not None:
             registry.counter(
@@ -90,6 +104,7 @@ class SODADaemon:
         machine: MachineConfig,
         node_index: int = 0,
         component: str = "",
+        parent: Optional[Any] = None,
     ) -> Generator[Event, Any, VirtualServiceNode]:
         """Create one virtual service node (simulated-process step).
 
@@ -98,22 +113,25 @@ class SODADaemon:
         module -> install the traffic-shaper share -> start the
         application entry point.  Any failure releases what was taken
         and raises :class:`PrimingError`.
+
+        The call is traced as a ``prime`` span under ``parent`` (the
+        Master's ``priming`` segment), tiled by ``reserve`` /
+        ``download`` / ``tailor`` / ``boot`` / ``configure``.
         """
         node_name = f"{service_name}@{self.host.name}#{node_index}"
         node_vector = unit_vector.scaled(float(units))
+        stages = Tiling(
+            self.sim, "prime", self.host.name, "reserve", parent,
+            node=node_name, units=units,
+        )
         try:
             reservation = self.host.reservations.reserve(
                 node_vector, label=f"node:{node_name}"
             )
         except ReservationError as exc:
-            trace(self.sim, "priming", "reservation failed", node=node_name)
-            self._obs_stage("reservation_failed")
+            self._stage(stages, "reservation_failed", status=STATUS_FAILED)
             raise PrimingError(f"{node_name}: reservation failed: {exc}") from exc
-        trace(
-            self.sim, "priming", "slice reserved",
-            node=node_name, host=self.host.name, units=units,
-        )
-        self._obs_stage("slice_reserved")
+        self._stage(stages, "slice_reserved", "download")
 
         ip = None
         vm = None
@@ -122,17 +140,13 @@ class SODADaemon:
             try:
                 image = repository.get(image_name)
             except UnknownImage as exc:
+                self._stage(stages, None, status=STATUS_FAILED)
                 raise PrimingError(f"{node_name}: unknown image {image_name!r}") from exc
             download = yield from repository.download(
                 self.http, self.host.nic, image_name
             )
             self.download_seconds_total += download.elapsed
-            trace(
-                self.sim, "priming", "image downloaded",
-                node=node_name, image=image_name,
-                mb=round(image.size_mb, 1), seconds=round(download.elapsed, 3),
-            )
-            self._obs_stage("image_downloaded")
+            self._stage(stages, "image_downloaded", "tailor")
 
             # Customization + automatic bootstrapping (§4.3).  For a
             # partitionable service, each node boots only its own
@@ -152,30 +166,19 @@ class SODADaemon:
                 rootfs=tailored,
                 guest_mem_mb=machine.mem_mb * units,
             )
-            trace(
-                self.sim, "priming", "rootfs tailored",
-                node=node_name, services=len(tailored.services),
-                mb=round(tailored.size_mb, 1),
-            )
-            self._obs_stage("rootfs_tailored")
+            self._stage(stages, "rootfs_tailored", "boot")
             try:
                 yield from vm.boot(self.boot_model)
             except Exception as exc:
-                trace(self.sim, "priming", "boot failed", node=node_name)
-                self._obs_stage("boot_failed")
+                self._stage(stages, "boot_failed", status=STATUS_FAILED)
                 raise PrimingError(f"{node_name}: boot failed: {exc}") from exc
-            assert vm.boot_plan is not None
-            trace(
-                self.sim, "priming", "guest booted",
-                node=node_name, seconds=round(vm.boot_plan.total_s, 2),
-                ramdisk=vm.boot_plan.ramdisk,
-            )
-            self._obs_stage("guest_booted")
+            self._stage(stages, "guest_booted", "configure")
 
             # Dynamic configuration for internetworking (§4.3).
             try:
                 ip = self.ip_pool.allocate()
             except IPPoolExhausted as exc:
+                self._stage(stages, None, status=STATUS_FAILED)
                 raise PrimingError(f"{node_name}: {exc}") from exc
             vm.ip = ip
             proxy = None
@@ -209,11 +212,7 @@ class SODADaemon:
                 component=component,
             )
             self.nodes_primed += 1
-            trace(
-                self.sim, "priming", "node primed",
-                node=node_name, ip=ip, entrypoint=entrypoint,
-            )
-            self._obs_stage("node_primed")
+            self._stage(stages, "node_primed")
             return node
         except PrimingError:
             # Roll back whatever was acquired.

@@ -43,8 +43,8 @@ from repro.core.switch import ServiceSwitch
 from repro.image.repository import ImageRepository
 from repro.net.lan import LAN
 from repro.obs.metrics import registry_of
+from repro.obs.tracing import STATUS_FAILED, Tiling, tracer_of
 from repro.sim.kernel import Event, Simulator
-from repro.sim.trace import trace
 
 if TYPE_CHECKING:  # imported lazily at call sites to keep core -> sla acyclic
     from repro.sla.contract import SLAContract
@@ -133,11 +133,16 @@ class SODAMaster:
         With an ``sla`` contract, admission additionally rejects
         objectives infeasible for the requested ``<n, M>``, and the
         created switch sheds load by service class under saturation.
+
+        Traced as a ``create_service`` root tiled by ``admission`` /
+        ``priming`` / ``switch_setup``; it spans exactly
+        ``record.primed_at - record.created_at``.
         """
         if service_name in self.services:
             raise InvalidRequestError(f"service {service_name!r} already hosted")
         if image_name not in repository:
             raise InvalidRequestError(f"image {image_name!r} not published")
+        ops = Tiling(self.sim, "create_service", "master", "admission", service=service_name)
         try:
             if sla is not None:
                 from repro.sla.enforcement import check_admissible
@@ -147,14 +152,11 @@ class SODAMaster:
                 requirement, self.collect_availability(), self.strategy, self.inflation
             )
         except AdmissionError:
+            ops.close(self.sim.now, STATUS_FAILED)
             self._obs_admission("rejected")
             raise
         self._obs_admission("admitted")
-        trace(
-            self.sim, "master", "service admitted",
-            service=service_name, requirement=str(requirement),
-            nodes=plan.n_nodes,
-        )
+        ops.advance("priming", self.sim.now)
         record = ServiceRecord(
             name=service_name,
             asp=asp,
@@ -180,6 +182,7 @@ class SODAMaster:
                         unit_vector=plan.unit_vector,
                         machine=requirement.machine,
                         node_index=index,
+                        parent=ops.segment,
                     ),
                     name=f"prime:{service_name}:{assignment.host_name}",
                 )
@@ -200,8 +203,10 @@ class SODAMaster:
                 self.daemons[node.host.name].teardown_node(node)
             record.transition(ServiceState.TORN_DOWN)
             del self.services[service_name]
+            ops.close(self.sim.now, STATUS_FAILED)
             raise errors[0]
         record.nodes = nodes
+        ops.advance("switch_setup", self.sim.now)
 
         # Service configuration file + switch (§3.4, Table 3).
         config = ServiceConfigFile(service_name)
@@ -223,10 +228,7 @@ class SODAMaster:
             record.switch.shedder = ClassPriorityShedder(sla.service_class)
         record.transition(ServiceState.RUNNING)
         record.primed_at = self.sim.now
-        trace(
-            self.sim, "master", "switch created",
-            service=service_name, backends=len(config),
-        )
+        ops.close(self.sim.now)
         return record
 
     # -- partitionable services (§3.5 extension) ------------------------------
@@ -267,6 +269,8 @@ class SODAMaster:
         Instead of full replication, each component of the image is
         mapped to its own virtual service node, sized by component
         weight; the switch routes requests by their ``component`` tag.
+        Traced like :meth:`create_service`; each component's placement
+        is decided inside ``priming``, just before its nodes prime.
         """
         if service_name in self.services:
             raise InvalidRequestError(f"service {service_name!r} already hosted")
@@ -288,6 +292,11 @@ class SODAMaster:
         )
         self.services[service_name] = record
         record.transition(ServiceState.PRIMING)
+        ops = Tiling(
+            self.sim, "create_partitioned_service", "master", "admission",
+            service=service_name,
+        )
+        ops.advance("priming", self.sim.now)
         nodes: List[VirtualServiceNode] = []
         try:
             for index, component in enumerate(image.components):
@@ -309,6 +318,7 @@ class SODAMaster:
                             machine=requirement.machine,
                             node_index=len(nodes),
                             component=component.name,
+                            parent=ops.segment,
                         )
                     )
                     nodes.append(node)
@@ -317,8 +327,10 @@ class SODAMaster:
                 self.daemons[node.host.name].teardown_node(node)
             record.transition(ServiceState.TORN_DOWN)
             del self.services[service_name]
+            ops.close(self.sim.now, STATUS_FAILED)
             raise
         record.nodes = nodes
+        ops.advance("switch_setup", self.sim.now)
 
         config = ServiceConfigFile(service_name)
         for node in record.nodes:
@@ -335,6 +347,7 @@ class SODAMaster:
         record.switch.tenant = asp
         record.transition(ServiceState.RUNNING)
         record.primed_at = self.sim.now
+        ops.close(self.sim.now)
         return record
 
     # -- lookup --------------------------------------------------------------
@@ -375,7 +388,15 @@ class SODAMaster:
         return record
 
     def _grow(self, record, repository, delta: int, unit) -> Generator[Event, Any, None]:
-        """Prefer growing existing nodes in place; spill to new nodes."""
+        """Prefer growing existing nodes in place; spill to new nodes.
+
+        Traced as a ``grow_service`` root: in-place growth and placement
+        are its ``admission``; spilling to new nodes adds ``priming`` and
+        ``switch_setup``.
+        """
+        ops = Tiling(
+            self.sim, "grow_service", "master", "admission", service=record.name, units=delta
+        )
         remaining = delta
         grown: List[tuple] = []  # (node, original units) for rollback
         # First option (§3.4): adjust resources in current nodes.
@@ -396,6 +417,7 @@ class SODAMaster:
                 )
                 remaining -= grow_by
         if remaining == 0:
+            ops.close(self.sim.now)
             return
         # Second option: add new virtual service node(s).
         requirement = record.requirement.with_n(remaining)
@@ -411,28 +433,38 @@ class SODAMaster:
                 record.switch.config.set_capacity(
                     node.endpoint.ip, node.endpoint.port, original_units
                 )
+            ops.close(self.sim.now, STATUS_FAILED)
             raise AdmissionError(
                 f"resize of {record.name!r} cannot place {remaining} more units: {exc}"
             ) from exc
+        ops.advance("priming", self.sim.now)
         next_index = len(record.nodes)
-        for offset, assignment in enumerate(plan.assignments):
-            daemon = self.daemons[assignment.host_name]
-            node = yield self.sim.process(
-                daemon.prime(
-                    service_name=record.name,
-                    repository=repository,
-                    image_name=record.image_name,
-                    units=assignment.units,
-                    unit_vector=plan.unit_vector,
-                    machine=record.requirement.machine,
-                    node_index=next_index + offset,
+        try:
+            for offset, assignment in enumerate(plan.assignments):
+                daemon = self.daemons[assignment.host_name]
+                node = yield self.sim.process(
+                    daemon.prime(
+                        service_name=record.name,
+                        repository=repository,
+                        image_name=record.image_name,
+                        units=assignment.units,
+                        unit_vector=plan.unit_vector,
+                        machine=record.requirement.machine,
+                        node_index=next_index + offset,
+                        parent=ops.segment,
+                    )
                 )
-            )
-            record.nodes.append(node)
-            record.switch.add_node(node)
-            record.switch.config.add_backend(
-                node.endpoint.ip, node.endpoint.port, node.units
-            )
+                # Each node joins the switch as soon as it is primed.
+                record.nodes.append(node)
+                record.switch.add_node(node)
+                record.switch.config.add_backend(
+                    node.endpoint.ip, node.endpoint.port, node.units
+                )
+        except PrimingError:
+            ops.close(self.sim.now, STATUS_FAILED)
+            raise
+        ops.advance("switch_setup", self.sim.now)
+        ops.close(self.sim.now)
 
     def _shrink(self, record, delta: int, unit) -> None:
         """Shed capacity: shrink/remove nodes, never the switch's home."""
@@ -473,5 +505,7 @@ class SODAMaster:
             self.daemons[node.host.name].teardown_node(node)
         record.transition(ServiceState.TORN_DOWN)
         del self.services[service_name]
-        trace(self.sim, "master", "service torn down", service=service_name)
+        tracer, now = tracer_of(self.sim), self.sim.now
+        if tracer is not None:
+            tracer.start_span("teardown_service", "master", now, service=service_name).finish(now)
         return record

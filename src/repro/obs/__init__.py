@@ -137,6 +137,8 @@ class Observability:
             RequestTracer(capacity=span_capacity) if tracing else None
         )
         self.registry: Optional[MetricsRegistry] = MetricsRegistry() if metrics else None
+        if self.tracer is not None:
+            self.tracer.registry = self.registry
         self.profiler: Optional[KernelProfiler] = KernelProfiler() if profile else None
         #: Extra JSON-ready documents experiments deposit for the runner
         #: to write next to the span/metric files (e.g. the federation

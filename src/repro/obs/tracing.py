@@ -21,6 +21,11 @@ The segments tile the request interval — each starts where the previous
 one ended — so their durations sum to the measured response time (the
 determinism guard asserts this to 1e-9).
 
+The control plane rides the same tracer: the SODA Master roots one
+trace per service operation and each Daemon's priming hangs a ``prime``
+span off it, both tiled by a :class:`Tiling` (docs/OBSERVABILITY.md §1).
+:meth:`RequestTracer.requests` yields only the ``request`` roots.
+
 Span and trace IDs are **deterministic**: they are per-tracer sequence
 numbers (never ``uuid4``/``Date.now``-style wall-clock material), so a
 seeded run produces bit-identical traces.  Timestamps are simulated
@@ -45,12 +50,16 @@ instrumentation sites cost one attribute lookup.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Tuple
+
+if TYPE_CHECKING:
+    from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
     "Span",
     "SpanContext",
     "RequestTracer",
+    "Tiling",
     "tracer_of",
     "STATUS_OK",
     "STATUS_FAILED",
@@ -161,9 +170,11 @@ class RequestTracer:
     belong to, which the Chrome export maps to one process block each.
 
     ``capacity`` bounds memory as a ring buffer over *spans*: when full,
-    the oldest spans are evicted (``dropped`` counts them) and the
-    newest are retained — the same newest-wins semantics as
-    :class:`repro.sim.trace.Tracer`.
+    the oldest spans are evicted and the newest are retained.
+    ``dropped`` counts evictions, and so does the
+    ``soda_trace_events_dropped_total`` counter of ``registry`` when the
+    owner of both (an :class:`~repro.obs.Observability` hub, a federated
+    shard) sets it, so bounded tracing is never silent.
     """
 
     def __init__(self, capacity: Optional[int] = None, namespace: Optional[str] = None):
@@ -173,6 +184,7 @@ class RequestTracer:
         self.namespace = namespace
         self._spans: Deque[Span] = deque(maxlen=capacity)
         self.dropped = 0
+        self.registry: Optional[MetricsRegistry] = None
         self.epoch = 0
         self._next_trace = 0
         self._next_span = 0
@@ -253,6 +265,11 @@ class RequestTracer:
     def _append(self, span: Span) -> None:
         if self.capacity is not None and len(self._spans) == self.capacity:
             self.dropped += 1
+            if self.registry is not None:
+                self.registry.counter(
+                    "soda_trace_events_dropped_total",
+                    "Spans evicted from bounded tracer ring buffers.",
+                ).inc()
         self._spans.append(span)
 
     # -- queries ------------------------------------------------------------
@@ -264,7 +281,8 @@ class RequestTracer:
         return [s for s in self._spans if s.finished]
 
     def roots(self, status: Optional[str] = None) -> List[Span]:
-        """Root spans (one per traced request), optionally by status."""
+        """Root spans of every trace (requests, control-plane operations,
+        faults), optionally by status."""
         return [
             s
             for s in self._spans
@@ -284,8 +302,13 @@ class RequestTracer:
         return kids
 
     def requests(self, status: Optional[str] = None) -> List[Tuple[Span, List[Span]]]:
-        """``(root, segments)`` pairs for every traced request."""
-        return [(root, self.children_of(root)) for root in self.roots(status)]
+        """``(root, segments)`` pairs for every traced request: the roots
+        named ``request`` only."""
+        return [
+            (root, self.children_of(root))
+            for root in self.roots(status)
+            if root.name == "request"
+        ]
 
     def __len__(self) -> int:
         return len(self._spans)
@@ -294,3 +317,34 @@ class RequestTracer:
 def tracer_of(sim) -> Optional[RequestTracer]:
     """The tracer attached to ``sim``, if any (else ``None``)."""
     return getattr(sim, "obs_tracer", None)
+
+
+class Tiling:
+    """A span tiled by consecutive child segments, one open at a time.
+
+    Opens span ``name`` at ``sim.now`` with its ``first`` segment open.
+    :meth:`advance` ends the open segment and starts the next at the
+    same instant, so the segment durations sum to the span's;
+    :meth:`close` ends the open segment and the span together — with
+    ``STATUS_FAILED`` on an error path — so no span is left open.  With
+    no tracer attached to ``sim`` every call is a no-op.
+    """
+
+    __slots__ = ("tracer", "span", "segment")
+
+    def __init__(self, sim, name: str, lane: str, first: str, parent=None, **attrs: Any):
+        self.tracer = tracer_of(sim)
+        self.span = self.segment = None
+        if self.tracer is not None:
+            self.span = self.tracer.start_span(name, lane, sim.now, parent, **attrs)
+            self.segment = self.tracer.start_span(first, lane, sim.now, parent=self.span)
+
+    def advance(self, name: str, now: float) -> None:
+        if self.span is not None:
+            self.segment.finish(now)
+            self.segment = self.tracer.start_span(name, self.span.lane, now, parent=self.span)
+
+    def close(self, now: float, status: str = STATUS_OK) -> None:
+        if self.span is not None:
+            self.segment.finish(now, status)
+            self.span.finish(now, status)

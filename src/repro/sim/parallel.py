@@ -399,6 +399,8 @@ class ClusterShard:
                 )
                 if self.broker is not None:
                     self.broker.instrument(self.registry)
+                if self.tracer is not None:
+                    self.tracer.registry = self.registry
             if self.obs.profile:
                 self.profiler = KernelProfiler().install(self.sim)
 

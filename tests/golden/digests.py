@@ -15,6 +15,8 @@ Covered runs, all at fast sizes and seeds :data:`SEEDS`:
 * the chaos fault-injection scenario (:func:`run_chaos_scenario`);
 * every scenario-library family under each admission policy;
 * the market contention scenario (:func:`fast_params`);
+* the federated run of the ``federation-scale`` fast topology
+  (:func:`run_federation`, serial), via ``FederationRun.digest_sha``;
 * the deterministic event counts of the switch dispatch bench.
 
 Re-pin with ``make regold`` (``python -m tests.golden.digests``) only
@@ -34,6 +36,9 @@ SEEDS = (0, 7)
 CHAOS_DURATION_S = 30.0
 SCENARIO_DURATION_S = 15.0
 SCENARIO_POLICIES = ("fcfs", "sla", "market")
+#: The ``federation-scale`` experiment's fast size.
+FEDERATION_HOSTS = 20
+FEDERATION_DURATION_S = 2.0
 #: The deterministic keys of ``bench_switch_dispatch_throughput``.
 SWITCH_BENCH_COUNTS = ("unbatched_events", "batched_events", "batches_dispatched")
 
@@ -121,6 +126,22 @@ def _market_cases() -> List[Tuple[str, Callable[[], Any]]]:
     ]
 
 
+def _federation_cases() -> List[Tuple[str, Callable[[], Any]]]:
+    from repro.experiments.federation_scale import build_topology
+    from repro.sim.parallel import run_federation
+
+    return [
+        (
+            f"federation/seed{seed}",
+            lambda seed=seed: run_federation(
+                build_topology(n_hosts=FEDERATION_HOSTS),
+                duration_s=FEDERATION_DURATION_S, seed=seed,
+            ).digest_sha,
+        )
+        for seed in SEEDS
+    ]
+
+
 def switch_bench_counts() -> Dict[str, int]:
     """The switch dispatch bench's deterministic counts (no wall clocks)."""
     from repro.bench import bench_switch_dispatch_throughput
@@ -136,6 +157,7 @@ def cases() -> List[Tuple[str, Callable[[], Any]]]:
         + _chaos_cases()
         + _scenario_cases()
         + _market_cases()
+        + _federation_cases()
     )
 
 
