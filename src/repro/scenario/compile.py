@@ -21,6 +21,17 @@ compilations, processes, and platforms — and (b) scenario draws cannot
 perturb any platform stream (``boot-*``, ``siege-*``, ``fluid:*``, …):
 the common-random-numbers discipline that lets policy arms share one
 workload realisation.
+
+Compilation is array-native.  Each tenant's candidate instants are
+one block of exponential gaps summed by ``np.cumsum``; the burst factor
+at every candidate is one ``np.searchsorted`` over the window starts;
+the arrival model's array method ``rates(t)`` (``rate_at`` delegates
+to it) gives every rate; one block of uniforms thins the candidates
+and one call draws every survivor's size.  Draw consumption equals the
+one-candidate-at-a-time Lewis-Shedler loop's: ``gap`` = candidates + 1,
+``thin`` = candidates, ``size`` = survivors — so a shared
+:class:`RandomStreams` is left exactly where the scalar algorithm
+leaves it.
 """
 
 from __future__ import annotations
@@ -29,7 +40,9 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
+
+import numpy as np
 
 from repro.scenario.spec import ReplayArrivals, ScenarioSpec, SizeModel, TenantLoad
 from repro.sim.rng import RandomStreams
@@ -64,38 +77,46 @@ def burst_windows(
 
 def size_sampler(
     sizes: SizeModel, streams: RandomStreams, stream: str
-) -> Callable[[float], float]:
-    """A per-arrival dataset-MB sampler drawing from ``stream``."""
+) -> Callable[[np.ndarray], List[float]]:
+    """A dataset-MB sampler: one size per arrival instant, all drawn
+    from ``stream`` in one call (one draw per arrival, in order)."""
     if sizes.kind == "fixed":
-        return lambda _t: sizes.mb
+        return lambda t: [sizes.mb] * len(t)
     generator = streams.stream(stream)
     if sizes.kind == "lognormal":
 
-        def draw(_t: float) -> float:
-            value = float(generator.lognormal(mean=math.log(sizes.mb), sigma=sizes.sigma))
-            return min(value, sizes.cap_mb)
+        def draw(t: np.ndarray) -> List[float]:
+            values = generator.lognormal(
+                mean=math.log(sizes.mb), sigma=sizes.sigma, size=len(t)
+            )
+            return np.minimum(values, sizes.cap_mb).tolist()
 
         return draw
 
-    def draw_pareto(_t: float) -> float:
+    def draw_pareto(t: np.ndarray) -> List[float]:
         # numpy's pareto() is the Lomax tail; 1 + tail is the classic
         # Pareto with minimum 1, scaled to the model's minimum size.
-        value = sizes.mb * (1.0 + float(generator.pareto(sizes.alpha)))
-        return min(value, sizes.cap_mb)
+        values = sizes.mb * (1.0 + generator.pareto(sizes.alpha, size=len(t)))
+        return np.minimum(values, sizes.cap_mb).tolist()
 
     return draw_pareto
 
 
-def _burst_factor_fn(
+def _burst_factors(
     windows: Tuple[Tuple[float, float], ...], factor: float
-) -> Callable[[float], float]:
-    def at(t: float) -> float:
-        for start, end in windows:
-            if start <= t < end:
-                return factor
-            if t < start:
-                break
-        return 1.0
+) -> Callable[[np.ndarray], np.ndarray]:
+    """``factor`` at instants inside a burst window, 1.0 elsewhere.
+
+    Windows are sorted and disjoint, so only the last window starting
+    at or before ``t`` can hold it.  A leading (-inf, -inf) window gives
+    instants before the first burst a window that holds nothing.
+    """
+    starts = np.array([-math.inf] + [start for start, _end in windows])
+    ends = np.array([-math.inf] + [end for _start, end in windows])
+
+    def at(t: np.ndarray) -> np.ndarray:
+        last = np.searchsorted(starts, t, side="right") - 1
+        return np.where(t < ends[last], factor, 1.0)
 
     return at
 
@@ -148,11 +169,11 @@ def _compile_load(
         return load.arrivals.trace  # recorded truth: offsets and sizes verbatim
     prefix = f"scenario:{spec.name}:{load.tenant}"
     factor = spec.bursts.factor if spec.bursts is not None else 1.0
-    burst_at = _burst_factor_fn(windows, factor)
+    burst_at = _burst_factors(windows, factor)
     model = load.arrivals
 
-    def rate(t: float) -> float:
-        return model.rate_at(t) * burst_at(t)
+    def rate(t: np.ndarray) -> np.ndarray:
+        return model.rates(t) * burst_at(t)
 
     return thinned_trace(
         streams,

@@ -36,6 +36,8 @@ import math
 from dataclasses import dataclass, fields
 from typing import Any, Dict, Optional, Tuple, Union
 
+import numpy as np
+
 from repro.workload.replay import ArrivalTrace
 
 __all__ = [
@@ -72,7 +74,8 @@ class SizeModel:
 
     Random kinds are truncated at ``cap_mb`` so one pathological draw
     cannot occupy the simulated LAN for the rest of the run — the cap
-    is part of the model, not a hidden safety valve.
+    is part of the model, not a hidden safety valve.  A ``fixed`` size
+    is never truncated, so ``cap_mb`` does not bound it.
     """
 
     kind: str = "fixed"
@@ -90,14 +93,29 @@ class SizeModel:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
         _require_finite("alpha", self.alpha)
         _require_finite("cap_mb", self.cap_mb)
-        if self.cap_mb < self.mb:
+        if self.kind != "fixed" and self.cap_mb < self.mb:
             raise ValueError(
                 f"cap_mb ({self.cap_mb}) must be >= mb ({self.mb})"
             )
 
 
+class _RateShape:
+    """An arrival model's rate curve.
+
+    Each model writes its formula once, as the array method
+    ``rates(t)`` the compiler evaluates over every candidate instant;
+    :meth:`rate_at` is the one-point view of it.
+    """
+
+    def rates(self, t: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def rate_at(self, t: float) -> float:
+        return float(self.rates(np.array([t], dtype=float))[0])
+
+
 @dataclass(frozen=True)
-class ConstantArrivals:
+class ConstantArrivals(_RateShape):
     """Homogeneous Poisson arrivals at ``rate_rps``."""
 
     rate_rps: float
@@ -108,12 +126,12 @@ class ConstantArrivals:
     def max_rate(self) -> float:
         return self.rate_rps
 
-    def rate_at(self, t: float) -> float:
-        return self.rate_rps
+    def rates(self, t: np.ndarray) -> np.ndarray:
+        return np.full(len(t), self.rate_rps, dtype=float)
 
 
 @dataclass(frozen=True)
-class DiurnalArrivals:
+class DiurnalArrivals(_RateShape):
     """Sinusoidal day cycle between ``base_rps`` and ``base * peak``.
 
     ``phase_s`` shifts the cycle so multiple tenants can peak at
@@ -136,14 +154,17 @@ class DiurnalArrivals:
     def max_rate(self) -> float:
         return self.base_rps * self.peak_factor
 
-    def rate_at(self, t: float) -> float:
+    def rates(self, t: np.ndarray) -> np.ndarray:
         swing = (self.peak_factor - 1.0) / 2.0
         phase = 2 * math.pi * (t + self.phase_s) / self.period_s
-        return self.base_rps * (1.0 + swing * (1.0 + math.sin(phase)))
+        # math.sin per element: np.sin's SIMD kernels vary by build and
+        # CPU, and compiled digests must not.
+        sin = np.array([math.sin(x) for x in phase.tolist()])
+        return self.base_rps * (1.0 + swing * (1.0 + sin))
 
 
 @dataclass(frozen=True)
-class FlashCrowdArrivals:
+class FlashCrowdArrivals(_RateShape):
     """A flash crowd: base load, then a ramp / hold / decay spike.
 
     Rate is ``base_rps`` until ``at_s``, climbs linearly to
@@ -177,24 +198,22 @@ class FlashCrowdArrivals:
     def max_rate(self) -> float:
         return self.base_rps * self.spike_factor
 
-    def rate_at(self, t: float) -> float:
+    def rates(self, t: np.ndarray) -> np.ndarray:
         peak = self.base_rps * self.spike_factor
         ramp_end = self.at_s + self.ramp_s
         hold_end = ramp_end + self.hold_s
         decay_end = hold_end + self.decay_s
-        if t < self.at_s or t >= decay_end:
-            return self.base_rps
-        if t < ramp_end:
-            frac = (t - self.at_s) / self.ramp_s
-            return self.base_rps + (peak - self.base_rps) * frac
-        if t < hold_end:
-            return peak
-        frac = (t - hold_end) / self.decay_s
-        return peak - (peak - self.base_rps) * frac
+        ramp = self.base_rps + (peak - self.base_rps) * ((t - self.at_s) / self.ramp_s)
+        decay = peak - (peak - self.base_rps) * ((t - hold_end) / self.decay_s)
+        return np.select(
+            [(t < self.at_s) | (t >= decay_end), t < ramp_end, t < hold_end],
+            [self.base_rps, ramp, peak],
+            decay,
+        )
 
 
 @dataclass(frozen=True)
-class ReplayArrivals:
+class ReplayArrivals(_RateShape):
     """Replay a recorded :class:`ArrivalTrace` verbatim.
 
     Offsets *and* dataset sizes come from the recording; the load's
@@ -217,8 +236,8 @@ class ReplayArrivals:
         span = self.trace.duration or 1.0
         return len(self.trace) / span
 
-    def rate_at(self, t: float) -> float:  # pragma: no cover - unused shape
-        return self.max_rate()
+    def rates(self, t: np.ndarray) -> np.ndarray:  # pragma: no cover - unused shape
+        return np.full(len(t), self.max_rate())
 
 
 ArrivalModel = Union[

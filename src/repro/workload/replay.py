@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, List, Tuple
+from typing import Any, Callable, Generator, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.errors import SODAError
 from repro.core.switch import ServiceSwitch
@@ -65,58 +67,86 @@ class ArrivalTrace:
         return count / (end - start)
 
 
+def _candidate_instants(
+    streams: RandomStreams, stream: str, rate: float, duration_s: float
+) -> np.ndarray:
+    """The instants of a rate-``rate`` Poisson process inside ``[0, duration_s)``.
+
+    Exponential gaps are drawn from ``stream`` as one block and summed
+    with ``np.cumsum`` — a sequential left-to-right sum, so every
+    instant is bit-identical to adding the gaps one at a time.  The
+    stream is left exactly where a one-gap-at-a-time loop leaves it:
+    ``len(result) + 1`` draws consumed, the last gap being the one that
+    crosses the horizon.  The block is drawn from a saved bit-generator
+    state, which is then restored and advanced by exactly that count.
+    """
+    generator = streams.stream(stream)
+    mean = 1.0 / rate
+    expected = rate * duration_s
+    block = int(expected + 6.0 * math.sqrt(expected)) + 16
+    saved = generator.bit_generator.state
+    gaps = generator.exponential(mean, block)
+    instants = np.cumsum(gaps)
+    while instants[-1] < duration_s:
+        gaps = np.concatenate((gaps, generator.exponential(mean, block)))
+        instants = np.cumsum(gaps)
+    count = int(np.searchsorted(instants, duration_s, side="left"))
+    generator.bit_generator.state = saved
+    generator.exponential(mean, count + 1)
+    return instants[:count]
+
+
 def poisson_trace(
     streams: RandomStreams, rate_rps: float, duration_s: float, dataset_mb: float = 0.25
 ) -> ArrivalTrace:
     """A homogeneous Poisson trace."""
     if rate_rps <= 0 or duration_s <= 0:
         raise ValueError("rate and duration must be positive")
-    arrivals: List[Tuple[float, float]] = []
-    t = 0.0
-    while True:
-        t += streams.exponential("trace-poisson", 1.0 / rate_rps)
-        if t >= duration_s:
-            break
-        arrivals.append((t, dataset_mb))
-    return ArrivalTrace(tuple(arrivals))
+    instants = _candidate_instants(streams, "trace-poisson", rate_rps, duration_s)
+    return ArrivalTrace(tuple((t, dataset_mb) for t in instants.tolist()))
 
 
 def thinned_trace(
     streams: RandomStreams,
-    rate_fn: Callable[[float], float],
+    rate_fn: Callable[[np.ndarray], np.ndarray],
     max_rate: float,
     duration_s: float,
-    size_fn: Callable[[float], float],
+    size_fn: Callable[[np.ndarray], Sequence[float]],
     gap_stream: str = "trace-thin-gap",
     thin_stream: str = "trace-thin",
 ) -> ArrivalTrace:
     """A non-homogeneous Poisson trace via Lewis-Shedler thinning.
 
     Candidate arrivals are drawn at the envelope rate ``max_rate`` from
-    ``gap_stream``; each candidate at instant ``t`` survives with
-    probability ``rate_fn(t) / max_rate`` (one uniform from
-    ``thin_stream`` per candidate, drawn unconditionally so the draw
-    sequence is independent of the rate shape), and surviving arrivals
-    get a dataset size from ``size_fn(t)``.  Everything is a pure
-    function of ``(streams, arguments)`` — the scenario layer's
-    purity/digest contract rests on this.
+    ``gap_stream`` (:func:`_candidate_instants`); each candidate at
+    instant ``t`` survives with probability ``rate_fn(t) / max_rate``
+    (one uniform from ``thin_stream`` per candidate, drawn
+    unconditionally so the draw sequence is independent of the rate
+    shape), and surviving arrivals get a dataset size from ``size_fn``.
+
+    Both callables are array-valued: ``rate_fn`` maps the candidate
+    instants to their rates, ``size_fn`` maps the surviving instants to
+    one size each (drawing them all in one call).  A successful call
+    consumes exactly candidates + 1 draws from ``gap_stream``,
+    candidates from ``thin_stream`` and whatever ``size_fn`` draws for
+    the survivors.  Everything is a pure function of
+    ``(streams, arguments)`` — the scenario layer's purity/digest
+    contract rests on this.
     """
     if max_rate <= 0 or duration_s <= 0:
         raise ValueError("max rate and duration must be positive")
-    arrivals: List[Tuple[float, float]] = []
-    t = 0.0
-    while True:
-        t += streams.exponential(gap_stream, 1.0 / max_rate)
-        if t >= duration_s:
-            break
-        rate_t = rate_fn(t)
-        if rate_t < 0 or rate_t > max_rate * (1.0 + 1e-12):
-            raise ValueError(
-                f"rate_fn({t}) = {rate_t} escapes the envelope [0, {max_rate}]"
-            )
-        if streams.uniform(thin_stream, 0.0, 1.0) <= rate_t / max_rate:
-            arrivals.append((t, size_fn(t)))
-    return ArrivalTrace(tuple(arrivals))
+    instants = _candidate_instants(streams, gap_stream, max_rate, duration_s)
+    rates = rate_fn(instants)
+    escaped = np.flatnonzero((rates < 0) | (rates > max_rate * (1.0 + 1e-12)))
+    if len(escaped):
+        first = escaped[0]
+        raise ValueError(
+            f"rate_fn({instants[first].item()}) = {rates[first].item()} "
+            f"escapes the envelope [0, {max_rate}]"
+        )
+    uniforms = streams.stream(thin_stream).uniform(0.0, 1.0, len(instants))
+    survivors = instants[uniforms <= rates / max_rate]
+    return ArrivalTrace(tuple(zip(survivors.tolist(), size_fn(survivors))))
 
 
 def diurnal_trace(
@@ -144,15 +174,17 @@ def diurnal_trace(
         return poisson_trace(streams, base_rps, duration_s, dataset_mb)
     swing = (peak_factor - 1.0) / 2.0
 
-    def rate(t: float) -> float:
-        return base_rps * (1.0 + swing * (1.0 + math.sin(2 * math.pi * t / period_s)))
+    def rate(t: np.ndarray) -> np.ndarray:
+        # math.sin per element: np.sin's SIMD kernels vary by build and CPU.
+        sin = np.array([math.sin(x) for x in (2 * math.pi * t / period_s).tolist()])
+        return base_rps * (1.0 + swing * (1.0 + sin))
 
     return thinned_trace(
         streams,
         rate_fn=rate,
         max_rate=base_rps * peak_factor,
         duration_s=duration_s,
-        size_fn=lambda _t: dataset_mb,
+        size_fn=lambda t: [dataset_mb] * len(t),
         gap_stream="trace-diurnal",
         thin_stream="trace-thin",
     )

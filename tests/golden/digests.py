@@ -14,6 +14,8 @@ Covered runs, all at fast sizes and seeds :data:`SEEDS`:
   determinism guard's ``_digest``;
 * the chaos fault-injection scenario (:func:`run_chaos_scenario`);
 * every scenario-library family under each admission policy;
+* every scenario-library family compiled at its *default* horizon:
+  the compiled digest plus where each ``scenario:*`` stream is left;
 * the market contention scenario (:func:`fast_params`);
 * the federated run of the ``federation-scale`` fast topology
   (:func:`run_federation`, serial), via ``FederationRun.digest_sha``;
@@ -112,6 +114,40 @@ def _scenario_cases() -> List[Tuple[str, Callable[[], Any]]]:
     ]
 
 
+def compiled_digest(name: str, seed: int) -> Tuple[str, Dict[str, float]]:
+    """A library scenario compiled at its default horizon on a shared
+    :class:`RandomStreams`: ``(digest_sha, {stream: next draw})``.
+
+    The next uniform of every ``scenario:*`` stream the compiler owns
+    pins how many draws compilation consumed from each."""
+    from repro.scenario.compile import compile_scenario
+    from repro.scenario.library import get_scenario
+    from repro.sim.rng import RandomStreams
+
+    spec = get_scenario(name)
+    streams = RandomStreams(seed)
+    sha = compile_scenario(spec, seed, streams=streams).digest_sha()
+    names = [f"scenario:{spec.name}:bursts"] + [
+        f"scenario:{spec.name}:{load.tenant}:{role}"
+        for load in spec.loads
+        for role in ("gap", "thin", "size")
+    ]
+    return sha, {stream: float(streams.stream(stream).random()) for stream in names}
+
+
+def _compiled_cases() -> List[Tuple[str, Callable[[], Any]]]:
+    from repro.scenario.library import list_scenarios
+
+    return [
+        (
+            f"compiled/{name}/seed{seed}",
+            lambda name=name, seed=seed: compiled_digest(name, seed),
+        )
+        for name in list_scenarios()
+        for seed in SEEDS
+    ]
+
+
 def _market_cases() -> List[Tuple[str, Callable[[], Any]]]:
     from repro.market import fast_params, run_market_scenario
 
@@ -156,6 +192,7 @@ def cases() -> List[Tuple[str, Callable[[], Any]]]:
         _experiment_cases()
         + _chaos_cases()
         + _scenario_cases()
+        + _compiled_cases()
         + _market_cases()
         + _federation_cases()
     )

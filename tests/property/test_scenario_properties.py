@@ -9,14 +9,19 @@ and pins the layer's contracts over the whole space:
 * compilation is a pure function of ``(spec, seed)`` — the exact-float
   digest is bit-identical across compilations;
 * replay loads come back verbatim, seed be damned;
+* the array compiler equals a scalar Lewis-Shedler oracle: the same
+  traces, and every ``scenario:*`` stream left at the same position;
 * a full platform run conserves requests: ``served + failed + shed ==
   issued`` for every tenant under every generated scenario and policy.
 """
 
+import math
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.scenario.compile import compile_scenario
+from repro.scenario.compile import burst_windows, compile_scenario
 from repro.scenario.run import run_scenario
 from repro.scenario.spec import (
     BurstEnvelope,
@@ -28,6 +33,7 @@ from repro.scenario.spec import (
     SizeModel,
     TenantLoad,
 )
+from repro.sim.rng import RandomStreams
 from repro.workload.replay import ArrivalTrace
 
 # ------------------------------------------------------------- strategies
@@ -86,27 +92,99 @@ def _loads(models):
     )
 
 
-loads = st.lists(
-    st.tuples(arrival_models, size_models, st.sampled_from(["gold", "silver", "bronze"])),
-    min_size=1,
-    max_size=3,
-).map(_loads)
+def _load_lists(models):
+    return st.lists(
+        st.tuples(models, size_models, st.sampled_from(["gold", "silver", "bronze"])),
+        min_size=1,
+        max_size=3,
+    ).map(_loads)
+
+
+bursts = st.one_of(
+    st.none(),
+    st.builds(
+        BurstEnvelope,
+        factor=st.floats(min_value=1.0, max_value=4.0),
+        mean_calm_s=st.floats(min_value=2.0, max_value=10.0),
+        mean_burst_s=st.floats(min_value=1.0, max_value=5.0),
+    ),
+)
 
 specs = st.builds(
     ScenarioSpec,
     name=st.just("prop"),
     duration_s=st.floats(min_value=8.0, max_value=20.0, allow_nan=False),
-    loads=loads,
-    bursts=st.one_of(
-        st.none(),
-        st.builds(
-            BurstEnvelope,
-            factor=st.floats(min_value=1.0, max_value=4.0),
-            mean_calm_s=st.floats(min_value=2.0, max_value=10.0),
-            mean_burst_s=st.floats(min_value=1.0, max_value=5.0),
-        ),
-    ),
+    loads=_load_lists(arrival_models),
+    bursts=bursts,
 )
+# Horizons of at most ~1 expected candidate: mostly zero candidates (the
+# first gap already crosses the horizon) or candidates with no survivor.
+# Replay loads are left out; their recordings outlast these horizons.
+short_specs = st.builds(
+    ScenarioSpec,
+    name=st.just("prop"),
+    duration_s=st.floats(min_value=1e-4, max_value=0.05),
+    loads=_load_lists(st.one_of(constant, diurnal, flash)),
+    bursts=bursts,
+)
+
+
+# ------------------------------------------------------------- the oracle
+def _scalar_size(sizes, generator):
+    if sizes.kind == "fixed":
+        return sizes.mb
+    if sizes.kind == "lognormal":
+        value = float(generator.lognormal(mean=math.log(sizes.mb), sigma=sizes.sigma))
+    else:
+        value = sizes.mb * (1.0 + float(generator.pareto(sizes.alpha)))
+    return min(value, sizes.cap_mb)
+
+
+def scalar_compile(spec, streams):
+    """Lewis-Shedler one candidate at a time: one gap, one uniform and,
+    for a survivor, one size per step.  Returns ``{tenant: arrivals}``."""
+    windows = burst_windows(spec, streams)
+    factor = spec.bursts.factor if spec.bursts is not None else 1.0
+    traces = {}
+    for load in spec.loads:
+        if isinstance(load.arrivals, ReplayArrivals):
+            traces[load.tenant] = load.arrivals.trace.arrivals
+            continue
+        prefix = f"scenario:{spec.name}:{load.tenant}"
+        top = load.arrivals.max_rate() * factor
+        arrivals, t = [], 0.0
+        while True:
+            t += streams.exponential(f"{prefix}:gap", 1.0 / top)
+            if t >= spec.duration_s:
+                break
+            burst = factor if any(s <= t < e for s, e in windows) else 1.0
+            if streams.uniform(f"{prefix}:thin", 0.0, 1.0) <= (
+                load.arrivals.rate_at(t) * burst / top
+            ):
+                size = _scalar_size(load.sizes, streams.stream(f"{prefix}:size"))
+                arrivals.append((t, size))
+        traces[load.tenant] = tuple(arrivals)
+    return traces
+
+
+def _stream_states(spec, streams):
+    names = [f"scenario:{spec.name}:bursts"] + [
+        f"scenario:{spec.name}:{load.tenant}:{role}"
+        for load in spec.loads
+        for role in ("gap", "thin", "size")
+    ]
+    return {name: streams.stream(name).bit_generator.state for name in names}
+
+
+def assert_matches_oracle(spec, seed):
+    shared, reference = RandomStreams(seed), RandomStreams(seed)
+    compiled = compile_scenario(spec, seed, streams=shared)
+    assert dict(compiled.traces) == {
+        tenant: ArrivalTrace(arrivals)
+        for tenant, arrivals in scalar_compile(spec, reference).items()
+    }
+    assert _stream_states(spec, shared) == _stream_states(spec, reference)
+    return compiled
 
 
 # ------------------------------------------------------------- properties
@@ -156,6 +234,50 @@ def test_every_generated_scenario_conserves_requests(spec, seed, policy):
     assert report.issued == compiled.total_arrivals
     for tenant, stats in report.stats.items():
         assert stats.served + stats.failed + stats.shed == stats.issued, tenant
+
+
+@given(
+    spec=st.one_of(specs, short_specs),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_compile_matches_scalar_oracle(spec, seed):
+    assert_matches_oracle(spec, seed)
+
+
+def _heavily_thinned(duration_s):
+    # 1 rps under a 40x flash spike that never arrives, inside a 2x
+    # burst envelope: a candidate survives with probability 1/80 or 1/40.
+    flash = FlashCrowdArrivals(base_rps=1.0, spike_factor=40.0, at_s=100.0)
+    return ScenarioSpec(
+        name="prop",
+        duration_s=duration_s,
+        loads=(TenantLoad(tenant="t0", arrivals=flash, sizes=SizeModel(kind="pareto")),),
+        bursts=BurstEnvelope(factor=2.0, mean_calm_s=0.05, mean_burst_s=0.05),
+    )
+
+
+def _first_gap(seed):
+    """The first envelope gap of ``_heavily_thinned``'s tenant (80 rps)."""
+    return RandomStreams(seed).exponential("scenario:prop:t0:gap", 1.0 / 80.0)
+
+
+def test_oracle_holds_with_zero_candidates():
+    # The first gap already crosses a 1-microsecond horizon.
+    spec = _heavily_thinned(1e-6)
+    assert _first_gap(0) >= spec.duration_s
+    assert assert_matches_oracle(spec, 0).total_arrivals == 0
+
+
+def test_oracle_holds_with_candidates_but_zero_survivors():
+    # ~40 candidates in 0.5 s, each kept with probability ~1/60: some
+    # seeds keep none of them.
+    spec = _heavily_thinned(0.5)
+    empty = [
+        seed for seed in range(20)
+        if assert_matches_oracle(spec, seed).total_arrivals == 0
+    ]
+    assert any(_first_gap(seed) < spec.duration_s for seed in empty)
 
 
 @given(spec=specs)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.scenario.compile import compile_scenario
 from repro.scenario.spec import (
     BurstEnvelope,
     ConstantArrivals,
@@ -29,9 +30,25 @@ def test_size_model_validation():
         SizeModel(mb=float("nan"))
     with pytest.raises(ValueError):
         SizeModel(sigma=-0.1)
-    with pytest.raises(ValueError):
-        SizeModel(mb=2.0, cap_mb=1.0)  # cap below the minimum size
+    for kind in ("lognormal", "pareto"):
+        with pytest.raises(ValueError):
+            SizeModel(kind=kind, mb=2.0, cap_mb=1.0)  # cap below the minimum size
     assert SizeModel(kind="pareto", mb=0.05, alpha=1.2).cap_mb == 8.0
+
+
+def test_fixed_size_is_not_bounded_by_the_random_kinds_cap():
+    # Regression: only random kinds are truncated at cap_mb, so a fixed
+    # 10 MB batch tenant is a valid model under the default 8 MB cap.
+    model = SizeModel(kind="fixed", mb=10.0)
+    assert model.mb == 10.0 and model.cap_mb == 8.0
+    spec = ScenarioSpec(
+        name="big-batch",
+        duration_s=5.0,
+        loads=(_load(sizes=model, kind="batch"),),
+    )
+    assert ScenarioSpec.from_dict(spec.to_dict()) == spec
+    trace = compile_scenario(spec, seed=0).trace_of("web")
+    assert len(trace) and all(mb == 10.0 for _t, mb in trace.arrivals)
 
 
 def test_arrival_model_validation():

@@ -1,9 +1,18 @@
 """Tests for arrival-trace replay."""
 
+import re
+
+import numpy as np
 import pytest
 
 from repro.sim import RandomStreams
-from repro.workload.replay import ArrivalTrace, TraceReplay, diurnal_trace, poisson_trace
+from repro.workload.replay import (
+    ArrivalTrace,
+    TraceReplay,
+    diurnal_trace,
+    poisson_trace,
+    thinned_trace,
+)
 
 
 def test_trace_validation():
@@ -120,6 +129,49 @@ def test_diurnal_amplitude_zero_is_poisson_arrival_for_arrival():
     )
     assert len(diurnal) > 0
     assert diurnal.arrivals == poisson.arrivals
+
+
+def _scalar_candidates(seed, max_rate, duration_s):
+    """Envelope instants drawn one gap at a time, as a reference."""
+    streams, instants, t = RandomStreams(seed=seed), [], 0.0
+    while True:
+        t += streams.exponential("trace-thin-gap", 1.0 / max_rate)
+        if t >= duration_s:
+            return instants
+        instants.append(t)
+
+
+def test_thinning_rate_above_envelope_names_first_offending_instant():
+    # Within the envelope until t = 2 s, then 6 rps against a 5 rps
+    # envelope: the error names the first candidate past 2 s.
+    first = next(t for t in _scalar_candidates(3, 5.0, 10.0) if t > 2.0)
+    message = f"rate_fn({first}) = 6.0 escapes the envelope [0, 5.0]"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        thinned_trace(
+            RandomStreams(seed=3),
+            rate_fn=lambda t: np.where(t > 2.0, 6.0, 1.0),
+            max_rate=5.0,
+            duration_s=10.0,
+            size_fn=lambda t: [0.1] * len(t),
+        )
+    with pytest.raises(ValueError, match="escapes the envelope"):
+        thinned_trace(
+            RandomStreams(seed=3), lambda t: np.full(len(t), -0.5), 5.0, 10.0,
+            size_fn=lambda t: [0.1] * len(t),
+        )
+
+
+def test_thinning_rate_exactly_at_envelope_keeps_every_candidate():
+    trace = thinned_trace(
+        RandomStreams(seed=3),
+        rate_fn=lambda t: np.full(len(t), 5.0),
+        max_rate=5.0,
+        duration_s=10.0,
+        size_fn=lambda t: [0.1] * len(t),
+    )
+    candidates = _scalar_candidates(3, 5.0, 10.0)
+    assert len(candidates) > 0
+    assert trace.arrivals == tuple((t, 0.1) for t in candidates)
 
 
 def test_replay_counts_failures_when_service_down(web_service):
