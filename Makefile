@@ -12,9 +12,12 @@ lint:
 	ruff check src/ tests/ examples/ benchmarks/
 
 # Chaos soak: the seeded fault campaign over the open-loop web workload,
-# run for each of the three pinned seeds (0, 7, 123).
+# run for each of the three pinned seeds (0, 7, 123); then the fault
+# ablation and the run-harness suite that composes fault plans.
 chaos:
 	PYTHONPATH=src python -m pytest tests/faults/test_chaos_soak.py -q
+	PYTHONPATH=src python -m repro.experiments.runner run ablation-faults --fast
+	PYTHONPATH=src python -m pytest tests/scenario/test_run.py -q
 
 # Needs pytest-cov (pip install pytest-cov); the floor matches CI's.
 coverage:

@@ -12,8 +12,11 @@ the operator's tooling so that story can be tested end to end:
   exponential backoff the switch's attempt loop consults.
 * :mod:`repro.faults.health` — :class:`SwitchHealthChecker`:
   probe-based quarantine of dead replicas.
-* :mod:`repro.faults.chaos` — the full chaos scenario harness shared
-  by the experiment, the soak test, and the determinism guard.
+* :mod:`repro.faults.chaos` — the chaos scenario as data: a
+  :class:`~repro.scenario.spec.FaultPlan`-carrying spec and its
+  three-host testbed, run through
+  :func:`~repro.scenario.run.run_scenario` by the experiment, the soak
+  test, and the determinism guard.
 
 Everything is a pure function of (seed, schedule): same inputs, same
 fault log, same digests — with observability on or off.

@@ -16,6 +16,7 @@ from repro.scenario.spec import (
     BurstEnvelope,
     ConstantArrivals,
     DiurnalArrivals,
+    FaultPlan,
     FlashCrowdArrivals,
     ReplayArrivals,
     ScenarioSpec,
@@ -29,6 +30,7 @@ __all__ = [
     "CompiledScenario",
     "ConstantArrivals",
     "DiurnalArrivals",
+    "FaultPlan",
     "FlashCrowdArrivals",
     "LIBRARY",
     "POLICIES",

@@ -104,6 +104,12 @@ def _cmd_replay(
     return 0 if report.conservation_holds() else 1
 
 
+def _host_count(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return int(text)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="soda-scenarios",
@@ -123,7 +129,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     replay.add_argument("--policy", choices=POLICIES, default="fcfs")
     replay.add_argument("--duration", type=float, default=None, metavar="S")
     replay.add_argument(
-        "--background-hosts", type=int, default=0, metavar="H",
+        "--background-hosts", type=_host_count, default=0, metavar="H",
         help="attach an aggregated fluid background fleet of H hosts",
     )
 

@@ -1,11 +1,12 @@
 """Run a compiled scenario against the simulated HUP.
 
 ``run_scenario(spec, seed, policy)`` deploys one web-content service
-per tenant load on the paper testbed (§4: *seattle* + *tacoma*),
-replays each tenant's compiled arrival trace against its service
-switch, and accounts for every request — ``served + failed + shed ==
-issued`` holds for every tenant in every run (the conservation
-invariant the property suite pins).
+per tenant load on a testbed built by ``platform(seed)`` — by default
+the paper's §4 testbed (*seattle* + *tacoma*) — replays each tenant's
+compiled arrival trace against its service switch, and accounts for
+every request: ``served + failed + shed == issued`` holds for every
+tenant in every run (the conservation invariant the property suite
+pins).
 
 Policy arms (the matrix dimension of the ``scenario-matrix``
 experiment):
@@ -23,6 +24,16 @@ experiment):
   request whose tenant is priced out (bid < spot rate at arrival) is
   shed at the gate without entering the switch.
 
+Fault plans: a spec with a :class:`~repro.scenario.spec.FaultPlan`
+arms switch retry and timeout budgets, a watchdog and health checker
+per service (spawned right after its creation), and the campaign drawn
+from the ``chaos-campaign`` stream over the deployed nodes; after the
+drain one probe per tenant checks every service serves again.  The
+report gains a :class:`FaultRecord`, its digest a ``faults`` section;
+without a plan the digest is unchanged and the request path takes no
+fault branch.  The probe skips the market arm's spot gate: it asks
+whether the service recovered, not whether the tenant can afford it.
+
 Background arms: ``background_hosts > 0`` attaches an aggregated fluid
 fleet (:meth:`~repro.core.api.HUPTestbed.add_fluid_fleet`) for the
 scenario's duration.  Fluid clusters own their own LAN segments and
@@ -33,13 +44,23 @@ fleet attached or not — the hybrid-fidelity contract, re-checked by a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
-from repro.core import MachineConfig, ResourceRequirement, build_paper_testbed
+from repro.core import (
+    HUPTestbed,
+    MachineConfig,
+    ResourceRequirement,
+    ServiceRecord,
+    build_paper_testbed,
+)
 from repro.core.auth import Credentials
-from repro.core.errors import RequestSheddedError, SODAError
-from repro.faults.chaos import ClassStats
+from repro.core.errors import RequestSheddedError, RequestTimeoutError, SODAError
+from repro.core.recovery import NodeWatchdog
+from repro.faults.health import SwitchHealthChecker
+from repro.faults.injector import FaultInjector
+from repro.faults.retry import BackoffPolicy
+from repro.faults.schedule import seeded_campaign
 from repro.image.profiles import paper_profiles
 from repro.market.pricing import PricingParams, SpotPricer
 from repro.scenario.compile import CompiledScenario, compile_scenario
@@ -50,7 +71,7 @@ from repro.sla.enforcement import ClassPriorityShedder
 from repro.workload.apps import web_request
 from repro.workload.clients import ClientPool
 
-__all__ = ["POLICIES", "ScenarioReport", "run_scenario"]
+__all__ = ["POLICIES", "ClassStats", "FaultRecord", "ScenarioReport", "run_scenario"]
 
 POLICIES = ("fcfs", "sla", "market")
 
@@ -62,6 +83,48 @@ _CONTRACTS = {
 
 #: Per-class spot bid ranges ($/machine-hour) for the market gate.
 _BID_RANGES = {"gold": (1.5, 4.0), "silver": (0.8, 2.0), "bronze": (0.3, 1.0)}
+
+# The resilience stack a fault plan arms: the switch's timeout budget,
+# the watchdog and health-check cadence, a health probe's round-trip
+# wait, and the recovery tail the guards outlive the load by so the last
+# fault is repaired before the drain.  A degrade lasts _DEGRADE_S; the
+# other fault durations are seeded_campaign's.
+_REQUEST_TIMEOUT_S = 6.0
+_WATCHDOG_POLL_S = 0.5
+_HEALTH_PERIOD_S = 0.5
+_PROBE_TIMEOUT_S = 0.4
+_TAIL_S = 15.0
+_DEGRADE_S = 6.0
+
+
+@dataclass
+class ClassStats:
+    """Request accounting for one tenant."""
+
+    issued: int = 0
+    served: int = 0
+    failed: int = 0
+    shed: int = 0
+    timeouts: int = 0  # sub-count of failed
+
+    @property
+    def accounted(self) -> int:
+        return self.served + self.failed + self.shed
+
+
+@dataclass
+class FaultRecord:
+    """What an armed :class:`FaultPlan` did; times relative to load start
+    except the health checkers' own logs."""
+
+    #: (time, fault kind, target, "inject" | "restore" | "skip").
+    log: Tuple[Tuple[float, str, str, str], ...]
+    #: tenant -> (detected_at, restored_at) per watchdog reboot.
+    reboots: Dict[str, Tuple[Tuple[float, float], ...]]
+    health: Dict[str, Tuple[Tuple[float, str, str], ...]]
+    failovers: Dict[str, int]
+    #: post-drain probes served, one probe per tenant.
+    probes_ok: int
 
 
 @dataclass
@@ -82,6 +145,8 @@ class ScenarioReport:
     priced_out: int = 0
     background_hosts: int = 0
     finished_at: float = 0.0
+    #: set when the spec arms a fault plan.
+    faults: Optional[FaultRecord] = None
 
     @property
     def issued(self) -> int:
@@ -99,9 +164,23 @@ class ScenarioReport:
         count = self.stats[tenant].served
         return total / count if count else 0.0
 
+    def availability_timeline(
+        self, window_s: float
+    ) -> Tuple[Tuple[float, float], ...]:
+        """(window start, ok fraction) for every window that saw requests."""
+        buckets: Dict[int, List[int]] = {}
+        for time_rel, _tenant, outcome in self.outcomes:
+            ok_total = buckets.setdefault(int(time_rel // window_s), [0, 0])
+            ok_total[0] += outcome == "ok"
+            ok_total[1] += 1
+        return tuple(
+            (index * window_s, ok / total)
+            for index, (ok, total) in sorted(buckets.items())
+        )
+
     def digest(self) -> dict:
         """Exact-float digest for the determinism guard (``==`` only)."""
-        return {
+        doc = {
             "scenario": self.scenario,
             "seed": self.seed,
             "policy": self.policy,
@@ -116,6 +195,32 @@ class ScenarioReport:
             "priced_out": self.priced_out,
             "finished_at": self.finished_at,
         }
+        if self.faults is not None:
+            doc["faults"] = {
+                **vars(self.faults),
+                "timeouts": {name: s.timeouts for name, s in sorted(self.stats.items())},
+            }
+        return doc
+
+
+def _guard(
+    tb: HUPTestbed, record: ServiceRecord, horizon_s: float
+) -> Tuple[NodeWatchdog, SwitchHealthChecker]:
+    """Arm one service's resilience stack until ``horizon_s`` from now:
+    switch retry and timeout budget, node watchdog, health checker."""
+    switch = record.switch
+    switch.retry_policy = BackoffPolicy()
+    switch.request_timeout_s = _REQUEST_TIMEOUT_S
+    watchdog = NodeWatchdog(tb.sim, record, poll_s=_WATCHDOG_POLL_S)
+    for host_name, daemon in tb.daemons.items():
+        watchdog.attach_networking(host_name, daemon.networking)
+    tb.spawn(watchdog.watch(horizon_s), name=f"watchdog:{switch.tenant}")
+    checker = SwitchHealthChecker(
+        tb.sim, switch, tb.lan,
+        period_s=_HEALTH_PERIOD_S, probe_timeout_s=_PROBE_TIMEOUT_S,
+    )
+    tb.spawn(checker.run(horizon_s), name=f"health:{switch.tenant}")
+    return watchdog, checker
 
 
 def run_scenario(
@@ -126,23 +231,29 @@ def run_scenario(
     nodes_per_service: int = 1,
     n_clients: int = 4,
     background_hosts: int = 0,
+    platform: Callable[[int], HUPTestbed] = build_paper_testbed,
 ) -> ScenarioReport:
-    """Compile (unless given) and run one scenario cell to completion."""
+    """Compile (unless given) and run one scenario cell to completion
+    on the testbed ``platform(seed)`` builds."""
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; known: {POLICIES}")
+    if background_hosts < 0:
+        raise ValueError(f"background_hosts must be >= 0, got {background_hosts}")
     if compiled is None:
         compiled = compile_scenario(spec, seed)
     elif compiled.spec != spec or compiled.seed != seed:
         raise ValueError("compiled scenario does not match (spec, seed)")
 
-    tb = build_paper_testbed(seed=seed)
+    tb = platform(seed)
     repo = tb.add_repository()
     for image in paper_profiles().values():
         repo.publish(image)
     tb.agent.register_asp("scenario-asp", "scenario-secret")
     creds = Credentials("scenario-asp", "scenario-secret")
 
+    plan = spec.faults
     switches = {}
+    guards: Dict[str, Tuple[NodeWatchdog, SwitchHealthChecker]] = {}
     for load in spec.loads:
         contract = _CONTRACTS[load.sla_class]() if policy == "sla" else None
         requirement = ResourceRequirement(
@@ -161,6 +272,8 @@ def run_scenario(
                 contract.service_class, capacity_aware=True
             )
         switches[load.tenant] = record.switch
+        if plan is not None:
+            guards[load.tenant] = _guard(tb, record, spec.duration_s + _TAIL_S)
 
     # The market arm: a spot gate priced from platform utilization.
     pricer: Optional[SpotPricer] = None
@@ -185,6 +298,23 @@ def run_scenario(
         )
         fleet.start(spec.duration_s)
 
+    if plan is not None:
+        nodes = [
+            node for watchdog, _checker in guards.values()
+            for node in watchdog.record.nodes
+        ]
+        injector = FaultInjector(tb.sim, tb.lan, nodes)
+        injector.arm(
+            seeded_campaign(
+                tb.streams.spawn("chaos-campaign"),
+                spec.duration_s,
+                node_names=[node.name for node in nodes],
+                host_names=list(tb.hosts),
+                degrade_s=_DEGRADE_S,
+                **asdict(plan),
+            )
+        )
+
     report = ScenarioReport(
         scenario=spec.name,
         seed=seed,
@@ -199,9 +329,11 @@ def run_scenario(
     }
     start = tb.now
 
-    def one_request(tenant: str, size_mb: float) -> Generator[Event, Any, None]:
+    def one_request(
+        tenant: str, size_mb: float, gated: bool = True
+    ) -> Generator[Event, Any, None]:
         stats = report.stats[tenant]
-        if pricer is not None and bids[tenant] < pricer.rate:
+        if pricer is not None and gated and bids[tenant] < pricer.rate:
             report.priced_out += 1
             stats.shed += 1
             outcomes.append((tb.now - start, tenant, "shed"))
@@ -213,6 +345,10 @@ def run_scenario(
         except RequestSheddedError:
             stats.shed += 1
             outcomes.append((tb.now - start, tenant, "shed"))
+        except RequestTimeoutError:
+            stats.failed += 1
+            stats.timeouts += 1
+            outcomes.append((tb.now - start, tenant, "failed"))
         except SODAError:
             stats.failed += 1
             outcomes.append((tb.now - start, tenant, "failed"))
@@ -235,8 +371,34 @@ def run_scenario(
     for load in spec.loads:
         tb.spawn(drive(load.tenant), name=f"drive:{load.tenant}")
 
-    tb.sim.run()  # drain: drivers, requests, the pricer, the fleet
+    tb.sim.run()  # drain: drivers, requests, pricer, fleet, faults, guards
 
+    if plan is not None:
+        # Post-drain probe: every service must serve again once the
+        # last fault is repaired (part of the run, hence of the digest).
+        probes_from = len(outcomes)
+        for load in spec.loads:
+            report.stats[load.tenant].issued += 1
+            tb.run(
+                one_request(load.tenant, load.sizes.mb, gated=False),
+                name=f"post:{load.tenant}",
+            )
+        report.faults = FaultRecord(
+            log=tuple(injector.log),
+            reboots={
+                tenant: tuple(
+                    (r.detected_at - start, r.restored_at - start)
+                    for r in watchdog.history
+                )
+                for tenant, (watchdog, _checker) in guards.items()
+            },
+            health={
+                tenant: tuple(checker.log)
+                for tenant, (_watchdog, checker) in guards.items()
+            },
+            failovers={tenant: switch.failovers for tenant, switch in switches.items()},
+            probes_ok=sum(1 for _t, _n, o in outcomes[probes_from:] if o == "ok"),
+        )
     report.outcomes = tuple(outcomes)
     report.response_s = {
         tenant: (totals[0], totals[1]) for tenant, totals in response_s.items()

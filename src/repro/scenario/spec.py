@@ -26,8 +26,11 @@ The vocabulary
   randomness cannot produce.
 * :class:`TenantLoad` — one tenant's traffic: an arrival model, a size
   model, an SLA class, and a kind (``interactive`` | ``batch``).
+* :class:`FaultPlan` — the fault counts of a seeded campaign, met by
+  the resilience stack (switch retry and timeout budget, node watchdogs,
+  health checkers, a recovery tail).
 * :class:`ScenarioSpec` — the scenario: named, bounded in time, a
-  tuple of loads, an optional burst envelope.
+  tuple of loads, an optional burst envelope, an optional fault plan.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ __all__ = [
     "ArrivalModel",
     "BurstEnvelope",
     "TenantLoad",
+    "FaultPlan",
     "ScenarioSpec",
 ]
 
@@ -301,6 +305,29 @@ class TenantLoad:
 
 
 @dataclass(frozen=True)
+class FaultPlan:
+    """How many faults of each kind a seeded campaign injects.
+
+    The counts feed :func:`~repro.faults.schedule.seeded_campaign`,
+    drawn at run time over the deployed nodes and hosts; all-zero counts
+    arm the resilience stack with no faults (the undisturbed baseline).
+    The fault durations and the stack's cadence are fixed by
+    :mod:`repro.scenario.run`.
+    """
+
+    n_crashes: int = 4
+    n_stalls: int = 1
+    n_outages: int = 1
+    n_degrades: int = 1
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, int) or value < 0:
+                raise ValueError(f"{f.name} must be an int >= 0, got {value!r}")
+
+
+@dataclass(frozen=True)
 class ScenarioSpec:
     """A named, bounded, multi-tenant workload scenario."""
 
@@ -309,6 +336,7 @@ class ScenarioSpec:
     loads: Tuple[TenantLoad, ...]
     bursts: Optional[BurstEnvelope] = None
     description: str = ""
+    faults: Optional[FaultPlan] = None
 
     def __post_init__(self) -> None:
         if not self.name or any(c.isspace() for c in self.name):
@@ -318,6 +346,8 @@ class ScenarioSpec:
             object.__setattr__(self, "loads", tuple(self.loads))
         if not self.loads:
             raise ValueError("a scenario needs at least one load")
+        if self.faults is not None and not isinstance(self.faults, FaultPlan):
+            raise ValueError(f"faults must be a FaultPlan, got {self.faults!r}")
         names = [load.tenant for load in self.loads]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate tenant names: {names}")
@@ -364,6 +394,10 @@ class ScenarioSpec:
             }
         if self.description:
             doc["description"] = self.description
+        if self.faults is not None:
+            doc["faults"] = {
+                f.name: getattr(self.faults, f.name) for f in fields(FaultPlan)
+            }
         return doc
 
     @classmethod
@@ -376,9 +410,17 @@ class ScenarioSpec:
         """
         if not isinstance(doc, dict):
             raise ValueError(f"scenario document must be a dict, got {type(doc).__name__}")
-        unknown = set(doc) - {"name", "duration_s", "loads", "bursts", "description"}
+        unknown = set(doc) - {
+            "name", "duration_s", "loads", "bursts", "description", "faults"
+        }
         if unknown:
             raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
+        faults = doc.get("faults")
+        if faults is not None:
+            unknown = set(faults) - {f.name for f in fields(FaultPlan)}
+            if unknown:
+                raise ValueError(f"unknown fault plan keys: {sorted(unknown)}")
+            faults = FaultPlan(**faults)
 
         def parse_model(d: Dict[str, Any]) -> ArrivalModel:
             d = dict(d)
@@ -407,4 +449,5 @@ class ScenarioSpec:
             loads=tuple(loads),
             bursts=BurstEnvelope(**bursts) if bursts is not None else None,
             description=doc.get("description", ""),
+            faults=faults,
         )

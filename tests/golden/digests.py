@@ -12,7 +12,8 @@ Covered runs, all at fast sizes and seeds :data:`SEEDS`:
 
 * every registered experiment (``fast=True``), digested like the
   determinism guard's ``_digest``;
-* the chaos fault-injection scenario (:func:`run_chaos_scenario`);
+* the chaos fault-injection scenario (:func:`chaos_spec` through
+  :func:`run_scenario`);
 * every scenario-library family under each admission policy;
 * every scenario-library family compiled at its *default* horizon:
   the compiled digest plus where each ``scenario:*`` stream is left;
@@ -84,13 +85,14 @@ def _experiment_cases() -> List[Tuple[str, Callable[[], Any]]]:
 
 
 def _chaos_cases() -> List[Tuple[str, Callable[[], Any]]]:
-    from repro.faults.chaos import run_chaos_scenario
+    from repro.faults.chaos import CHAOS_RUN, chaos_spec
+    from repro.scenario.run import run_scenario
 
     return [
         (
             f"chaos/seed{seed}",
-            lambda seed=seed: run_chaos_scenario(
-                seed=seed, duration_s=CHAOS_DURATION_S
+            lambda seed=seed: run_scenario(
+                chaos_spec(CHAOS_DURATION_S), seed=seed, **CHAOS_RUN
             ).digest(),
         )
         for seed in SEEDS

@@ -123,14 +123,14 @@ def test_disabled_pillars_raise_on_use():
 
 def test_requests_are_only_request_roots_under_chaos():
     """Fault and control-plane roots share the tracer but are not requests."""
-    from repro.faults.chaos import run_chaos_scenario
+    from repro.faults.chaos import CHAOS_RUN, chaos_spec
+    from repro.scenario.run import run_scenario
 
     hub = Observability()
     with hub.activate():
-        report = run_chaos_scenario(seed=0, duration_s=20.0)
+        report = run_scenario(chaos_spec(20.0), seed=0, **CHAOS_RUN)
     requests = hub.tracer.requests()
     assert all(root.name == "request" for root, _segments in requests)
-    issued = sum(s.issued for s in report.stats.values())
-    assert len(requests) == issued == 502
+    assert len(requests) == report.issued == 512
     other = {root.name.split(":")[0] for root in hub.tracer.roots()} - {"request"}
     assert {"fault", "create_service"} <= other

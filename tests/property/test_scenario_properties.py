@@ -12,21 +12,24 @@ and pins the layer's contracts over the whole space:
 * the array compiler equals a scalar Lewis-Shedler oracle: the same
   traces, and every ``scenario:*`` stream left at the same position;
 * a full platform run conserves requests: ``served + failed + shed ==
-  issued`` for every tenant under every generated scenario and policy.
+  issued`` for every tenant under every generated scenario and policy,
+  with or without a generated fault campaign.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.scenario.compile import burst_windows, compile_scenario
-from repro.scenario.run import run_scenario
+from repro.scenario.run import POLICIES, run_scenario
 from repro.scenario.spec import (
     BurstEnvelope,
     ConstantArrivals,
     DiurnalArrivals,
+    FaultPlan,
     FlashCrowdArrivals,
     ReplayArrivals,
     ScenarioSpec,
@@ -126,6 +129,15 @@ short_specs = st.builds(
     duration_s=st.floats(min_value=1e-4, max_value=0.05),
     loads=_load_lists(st.one_of(constant, diurnal, flash)),
     bursts=bursts,
+)
+
+
+fault_plans = st.builds(
+    FaultPlan,
+    n_crashes=st.integers(min_value=0, max_value=4),
+    n_stalls=st.integers(min_value=0, max_value=2),
+    n_outages=st.integers(min_value=0, max_value=1),
+    n_degrades=st.integers(min_value=0, max_value=1),
 )
 
 
@@ -234,6 +246,27 @@ def test_every_generated_scenario_conserves_requests(spec, seed, policy):
     assert report.issued == compiled.total_arrivals
     for tenant, stats in report.stats.items():
         assert stats.served + stats.failed + stats.shed == stats.issued, tenant
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@given(
+    spec=st.one_of(specs, short_specs),
+    plan=fault_plans,
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@settings(max_examples=8, deadline=None)
+def test_conservation_holds_under_fault_campaigns(policy, spec, plan, seed):
+    # Crashes, stalls, outages and degrades against one-node services:
+    # requests fail, time out or shed, but every one is accounted for,
+    # the post-drain probes (one per tenant) included.
+    spec = replace(spec, faults=plan)
+    report = run_scenario(spec, seed=seed, policy=policy)
+    assert report.issued == compile_scenario(spec, seed).total_arrivals + len(spec.loads)
+    for tenant, stats in report.stats.items():
+        assert stats.served + stats.failed + stats.shed == stats.issued, tenant
+    # Every campaign event fired (injected, or skipped on a dead node).
+    fired = sum(1 for *_event, phase in report.faults.log if phase != "restore")
+    assert fired == plan.n_crashes + plan.n_stalls + plan.n_outages + plan.n_degrades
 
 
 @given(

@@ -59,3 +59,11 @@ def test_unknown_scenario_raises():
 def test_unknown_policy_rejected():
     with pytest.raises(SystemExit):
         main(["replay", "diurnal", "--policy", "lifo"])
+
+
+def test_negative_background_hosts_exit_nonzero():
+    with pytest.raises(SystemExit) as exit_info:
+        main([
+            "replay", "flash-crowd", "--duration", "5", "--background-hosts", "-7",
+        ])
+    assert exit_info.value.code != 0

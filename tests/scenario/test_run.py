@@ -1,11 +1,13 @@
 """Run-layer tests: policy arms, conservation, hybrid-fidelity parity."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.scenario.compile import compile_scenario
 from repro.scenario.library import get_scenario
 from repro.scenario.run import POLICIES, run_scenario
-from repro.scenario.spec import ConstantArrivals, ScenarioSpec, TenantLoad
+from repro.scenario.spec import ConstantArrivals, FaultPlan, ScenarioSpec, TenantLoad
 
 DURATION_S = 12.0
 
@@ -84,6 +86,24 @@ def test_background_fleet_leaves_focus_digest_untouched():
     assert under_fleet.digest() == plain.digest()
 
 
+def test_faults_market_and_fleet_compose():
+    # A fault campaign, the market gate and a fluid fleet in one run:
+    # every request is still accounted for, and the focus digest —
+    # faults section included — does not see the fleet.
+    spec = replace(_spec(name="composed"), faults=FaultPlan())
+    plain = run_scenario(spec, seed=5, policy="market", nodes_per_service=2)
+    under_fleet = run_scenario(
+        spec, seed=5, policy="market", nodes_per_service=2, background_hosts=40
+    )
+    for report in (plain, under_fleet):
+        assert report.conservation_holds()
+        assert report.faults.log, "the campaign must fire"
+        # Every service serves again; a priced-out tenant's probe too.
+        assert report.faults.probes_ok == len(spec.loads)
+    assert plain.price_history
+    assert under_fleet.digest() == plain.digest()
+
+
 def test_mean_response_and_finished_at():
     report = run_scenario(_spec(), seed=6, policy="fcfs")
     assert report.mean_response_s("gold-web") > 0.0
@@ -98,3 +118,5 @@ def test_run_rejects_bad_inputs():
         run_scenario(spec, policy="lifo")
     with pytest.raises(ValueError):  # compiled under a different seed
         run_scenario(spec, seed=1, compiled=compile_scenario(spec, seed=2))
+    with pytest.raises(ValueError):
+        run_scenario(spec, background_hosts=-7)

@@ -7,6 +7,7 @@ from repro.scenario.spec import (
     BurstEnvelope,
     ConstantArrivals,
     DiurnalArrivals,
+    FaultPlan,
     FlashCrowdArrivals,
     ReplayArrivals,
     ScenarioSpec,
@@ -108,6 +109,11 @@ def test_scenario_spec_validation():
             name="overrun", duration_s=5.0,
             loads=(_load(arrivals=ReplayArrivals(ArrivalTrace(((7.0, 0.1),)))),),
         )
+    with pytest.raises(ValueError):  # not a FaultPlan
+        ScenarioSpec(name="x", duration_s=10.0, loads=(_load(),), faults={"n_crashes": 1})
+    for bad_plan in ({"n_crashes": -1}, {"n_stalls": 1.5}, {"n_outages": "1"}):
+        with pytest.raises(ValueError):
+            FaultPlan(**bad_plan)
     spec = ScenarioSpec(name="ok", duration_s=10.0, loads=[_load()])
     assert isinstance(spec.loads, tuple)  # list coerced
 
@@ -118,6 +124,7 @@ def test_dict_round_trip_every_model_kind():
         duration_s=30.0,
         description="all four arrival kinds",
         bursts=BurstEnvelope(factor=2.0, mean_calm_s=8.0, mean_burst_s=3.0),
+        faults=FaultPlan(n_crashes=2, n_outages=0),
         loads=(
             _load("steady"),
             _load("wave", arrivals=DiurnalArrivals(1.0, 2.0, 20.0, 5.0)),
@@ -140,6 +147,14 @@ def test_from_dict_rejects_unknown_keys():
             {
                 "name": "x", "duration_s": 10.0,
                 "loads": [{"tenant": "t", "arrivals": {"kind": "weibull"}}],
+            }
+        )
+    with pytest.raises(ValueError):
+        ScenarioSpec.from_dict(
+            {
+                "name": "x", "duration_s": 10.0,
+                "loads": [{"tenant": "t", "arrivals": {"kind": "constant", "rate_rps": 1.0}}],
+                "faults": {"n_crashes": 1, "n_meteors": 2},
             }
         )
     with pytest.raises(ValueError):

@@ -17,7 +17,7 @@ disabled — `repro.obs` observes, never perturbs.
 """
 
 import repro.experiments.fig4_loadbalance as fig4
-from repro.faults.chaos import run_chaos_scenario
+from repro.faults.chaos import CHAOS_RUN, chaos_spec
 from repro.market import fast_params, run_market_scenario
 from repro.obs import FederationObservability, Observability
 from repro.scenario.library import get_scenario
@@ -132,7 +132,7 @@ def test_federated_digest_unchanged_by_full_observability():
 
 
 def _chaos_digest(seed):
-    return run_chaos_scenario(seed=seed, duration_s=30.0).digest()
+    return run_scenario(chaos_spec(30.0), seed=seed, **CHAOS_RUN).digest()
 
 
 def test_chaos_digest_bit_identical_across_runs():
