@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -69,10 +69,11 @@ class WorkloadSpec:
     def __post_init__(self) -> None:
         if self.run_quanta < 1:
             raise ValueError(f"run_quanta must be >= 1, got {self.run_quanta}")
-        if self.block_s < 0:
-            raise ValueError(f"block_s must be >= 0, got {self.block_s}")
-        if self.jitter < 0:
-            raise ValueError(f"jitter must be >= 0, got {self.jitter}")
+        # Chained comparisons are False for NaN, so these reject it too.
+        if not 0 <= self.block_s < math.inf:
+            raise ValueError(f"block_s must be finite and >= 0, got {self.block_s}")
+        if not 0 <= self.jitter < math.inf:
+            raise ValueError(f"jitter must be finite and >= 0, got {self.jitter}")
 
     @staticmethod
     def cpu_hog() -> "WorkloadSpec":
@@ -101,15 +102,14 @@ class TaskGroup:
     def __post_init__(self) -> None:
         if not self.workloads:
             raise ValueError(f"group {self.name!r} has no processes")
-        if self.tickets <= 0:
-            raise ValueError(f"tickets must be positive, got {self.tickets}")
+        if not 0 < self.tickets < math.inf:
+            raise ValueError(f"tickets must be finite and positive, got {self.tickets}")
 
 
 class _Task:
     """Runtime state of one process."""
 
     __slots__ = (
-        "index",
         "group_index",
         "spec",
         "counter",
@@ -119,7 +119,6 @@ class _Task:
     )
 
     def __init__(self, group_index: int, spec: WorkloadSpec, task_id: int):
-        self.index = task_id  # position in the scheduler's task arrays
         self.group_index = group_index
         self.spec = spec
         self.counter = BASE_COUNTER
@@ -195,55 +194,48 @@ class _SchedulerBase:
 
     # -- the quantum loop ----------------------------------------------------
     def run(self, horizon_s: float) -> SchedulerTrace:
-        # The loop batches bookkeeping instead of redoing it every 10 ms
-        # tick: the wake scan only runs when the earliest pending wake
-        # time is actually due, the runnable list is only rebuilt when
-        # the blocked set changed, fully idle stretches are filled in a
-        # tight inner loop, and the trace matrices are reconstructed
-        # from the per-quantum charge log after the loop.  Blocked-task
-        # state and the charge/time logs live in preallocated arrays
-        # keyed by task index / quantum number, so the loop chases no
-        # per-task Python objects for wake bookkeeping.  The pick /
-        # charge / wake sequence (and therefore the trace, including its
-        # float accumulation) is identical to the naive per-tick loop.
+        # One scalar loop.  It batches bookkeeping instead of redoing it
+        # every 10 ms tick: the wake scan only runs when the earliest
+        # pending wake time is actually due, the runnable list is only
+        # rebuilt when the blocked set changed, fully idle stretches are
+        # filled in a tight inner loop, and the trace matrices are
+        # reconstructed from the per-quantum charge log after the loop.
+        # The pick / charge / wake sequence (and therefore the trace,
+        # including its float accumulation) is identical to the naive
+        # per-tick loop.  Blocked tasks are a plain set and the logs are
+        # plain lists: with a handful of tasks, per-call numpy overhead
+        # costs more than it saves (docs/MODELING.md §13).
         if horizon_s <= 0:
             raise ValueError(f"horizon must be positive, got {horizon_s}")
         n_groups = len(self.groups)
-        n_tasks = len(self.tasks)
         n_quanta = int(math.ceil(horizon_s / QUANTUM_S))
-        # Blocked bookkeeping, keyed by task index: a task is blocked
-        # iff blocked_mask[i]; its wake time sits in wake_buf[i].
-        wake_buf = np.full(n_tasks, math.inf)
-        blocked_mask = np.zeros(n_tasks, dtype=bool)
+        blocked: Set[_Task] = set()
         next_wake = math.inf
         runnable: List[_Task] = list(self.tasks)
         runnable_dirty = False
         # charges[q] is the group index that consumed quantum q (-1: idle).
-        charges = np.empty(n_quanta, dtype=np.int64)
-        times = np.empty(n_quanta + 1)
-        times[0] = 0.0
+        charges: List[int] = []
+        times_list: List[float] = [0.0]
 
         now = 0.0
         q = 0
         while q < n_quanta:
             if next_wake <= now + 1e-12:
                 # Wake every due task, in task order (as the per-tick
-                # scan did: nonzero yields ascending indices).
-                due = blocked_mask & (wake_buf <= now + 1e-12)
-                for i in np.nonzero(due)[0]:
-                    task = self.tasks[i]
-                    blocked_mask[i] = False
-                    wake_buf[i] = math.inf
-                    task.burst_left = task.spec.run_quanta
-                    self._woke(task, now)
-                still = wake_buf[blocked_mask]
-                next_wake = float(still.min()) if still.size else math.inf
+                # scan did).
+                next_wake = math.inf
+                for task in self.tasks:
+                    if task not in blocked:
+                        continue
+                    if task.wake_time <= now + 1e-12:
+                        blocked.discard(task)
+                        task.burst_left = task.spec.run_quanta
+                        self._woke(task, now)
+                    elif task.wake_time < next_wake:
+                        next_wake = task.wake_time
                 runnable_dirty = True
             if runnable_dirty:
-                if blocked_mask.any():
-                    runnable = [self.tasks[i] for i in np.nonzero(~blocked_mask)[0]]
-                else:
-                    runnable = list(self.tasks)
+                runnable = [t for t in self.tasks if t not in blocked]
                 runnable_dirty = False
             if not runnable:
                 # Idle stretch: nothing can run until the next wake.
@@ -251,19 +243,19 @@ class _SchedulerBase:
                 # `now += QUANTUM_S` accumulation exact) but skip the
                 # pick/charge machinery entirely.
                 now += QUANTUM_S
-                times[q + 1] = now
-                charges[q] = -1
+                times_list.append(now)
+                charges.append(-1)
                 q += 1
                 while q < n_quanta and next_wake > now + 1e-12:
                     now += QUANTUM_S
-                    times[q + 1] = now
-                    charges[q] = -1
+                    times_list.append(now)
+                    charges.append(-1)
                     q += 1
                 continue
             chosen = self._pick(runnable, now)
             now += QUANTUM_S
             if chosen is not None:
-                charges[q] = chosen.group_index
+                charges.append(chosen.group_index)
                 chosen.burst_left -= 1
                 self._charged(chosen, now)
                 if chosen.burst_left <= 0 and chosen.spec.block_s > 0:
@@ -271,14 +263,13 @@ class _SchedulerBase:
                         chosen.rng_name, chosen.spec.jitter
                     )
                     chosen.wake_time = now + chosen.spec.block_s * jitter
-                    blocked_mask[chosen.index] = True
-                    wake_buf[chosen.index] = chosen.wake_time
+                    blocked.add(chosen)
                     if chosen.wake_time < next_wake:
                         next_wake = chosen.wake_time
                     runnable_dirty = True
             else:
-                charges[q] = -1
-            times[q + 1] = now
+                charges.append(-1)
+            times_list.append(now)
             q += 1
 
         # Observability: the quantum loop has no simulator handle, so it
@@ -293,7 +284,7 @@ class _SchedulerBase:
                 "Scheduler quanta simulated, by scheduler and disposition.",
                 ("scheduler", "state"),
             )
-            idle = int((charges == -1).sum()) if n_quanta else 0
+            idle = charges.count(-1)
             quanta.inc(n_quanta - idle, scheduler=self.name, state="charged")
             quanta.inc(idle, scheduler=self.name, state="idle")
             registry.counter(
@@ -302,14 +293,16 @@ class _SchedulerBase:
                 ("scheduler",),
             ).inc(scheduler=self.name)
 
+        times = np.asarray(times_list)
         cumulative = np.zeros((n_groups, n_quanta + 1))
         if n_quanta:
+            charge_arr = np.asarray(charges)
             for g in range(n_groups):
                 # np.cumsum accumulates left to right, so adding
                 # QUANTUM_S at charged quanta and 0.0 elsewhere yields
                 # bit-for-bit the running totals the per-tick loop kept.
                 cumulative[g, 1:] = np.cumsum(
-                    np.where(charges == g, QUANTUM_S, 0.0)
+                    np.where(charge_arr == g, QUANTUM_S, 0.0)
                 )
 
         return SchedulerTrace(

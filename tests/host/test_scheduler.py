@@ -1,5 +1,7 @@
 """Unit tests for the CPU schedulers (Figure 5 substrate)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,12 @@ def test_workload_spec_validation():
         WorkloadSpec(run_quanta=1, block_s=-1)
     with pytest.raises(ValueError):
         WorkloadSpec(run_quanta=1, block_s=0.1, jitter=-1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="block_s"):
+            WorkloadSpec(run_quanta=1, block_s=bad)
+        with pytest.raises(ValueError, match="jitter"):
+            WorkloadSpec(run_quanta=1, block_s=0.1, jitter=bad)
+    assert WorkloadSpec.cpu_hog().block_s == 0.0
 
 
 def test_task_group_validation():
@@ -27,6 +35,11 @@ def test_task_group_validation():
         TaskGroup("g", [])
     with pytest.raises(ValueError):
         TaskGroup("g", [WorkloadSpec.cpu_hog()], tickets=0)
+    # NaN tickets would make the stride NaN; infinite tickets a stride
+    # of 0.0, so the group's pass would never advance.
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="tickets"):
+            TaskGroup("g", [WorkloadSpec.cpu_hog()], tickets=bad)
 
 
 def test_duplicate_group_names_rejected():

@@ -1,5 +1,9 @@
 """Unit tests for the fluid-flow LAN model."""
 
+import hashlib
+import math
+import random
+
 import pytest
 
 from repro.net.lan import LAN, NetworkInterface
@@ -20,6 +24,19 @@ def test_lan_validation():
         LAN(sim, latency_s=-1)
     with pytest.raises(ValueError):
         NetworkInterface("x", 0)
+    # Non-finite capacities give meaningless rates.
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="LAN bandwidth"):
+            LAN(sim, bandwidth_mbps=bad)
+        with pytest.raises(ValueError, match="NIC rate"):
+            NetworkInterface("x", bad)
+        with pytest.raises(ValueError, match="latency"):
+            LAN(sim, latency_s=bad)
+    lan = LAN(sim)
+    for bad in (0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="LAN bandwidth"):
+            lan.set_bandwidth(bad)
+    assert lan.bandwidth_mbps == 100.0
 
 
 def test_nic_registry():
@@ -132,6 +149,12 @@ def test_set_rate_cap_validation():
     flow = lan.transfer(a, b, size_mb=1.0)
     with pytest.raises(ValueError):
         flow.set_rate_cap(0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="rate cap"):
+            flow.set_rate_cap(bad)
+    flow.set_rate_cap(None)  # None still means uncapped
+    sim.run()
+    assert flow.finished_at is not None
 
 
 def test_shared_nic_is_a_bottleneck():
@@ -240,6 +263,13 @@ def test_transfer_validation():
         lan.transfer(a, b, size_mb=-1)
     with pytest.raises(ValueError):
         lan.transfer(a, b, size_mb=1, rate_cap_mbps=0)
+    # A NaN or infinite size or cap would leave a flow that never finishes.
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="transfer size"):
+            lan.transfer(a, b, size_mb=bad)
+        with pytest.raises(ValueError, match="rate cap"):
+            lan.transfer(a, b, size_mb=1, rate_cap_mbps=bad)
+    assert not lan.active_flows
 
 
 def test_mean_rate_reported():
@@ -259,8 +289,7 @@ def test_many_flows_fair_share():
         flows.append(lan.transfer(src, dst, size_mb=1.25))
     sim.run()
     # 10 flows at 10 Mbps each -> 1.25 MB in 1 s, all simultaneous.
-    for flow in flows:
-        assert flow.finished_at == pytest.approx(1.0)
+    assert [flow.finished_at for flow in flows] == [1.0] * 10
 
 
 def test_active_flows_listing():
@@ -270,3 +299,63 @@ def test_active_flows_listing():
     assert lan.active_flows == [flow]
     sim.run()
     assert lan.active_flows == []
+
+
+def run_contention(seed, with_faults=False, n_flows=48):
+    """A randomized 48-flow, 12-NIC contention run; returns its trace.
+
+    Flows get random NIC pairs, sizes, caps and staggered starts, so
+    the progressive fill sees wide wire groups with mixed bottlenecks.
+    ``with_faults`` stalls one NIC and partitions half the hosts
+    mid-run, then lifts both.
+    """
+    rng = random.Random(seed)
+    sim = Simulator()
+    lan = LAN(sim, bandwidth_mbps=2000.0)
+    nics = [
+        lan.nic(f"h{i}", rate_mbps=rng.choice([100.0, 400.0, 1000.0]))
+        for i in range(12)
+    ]
+    flows = []
+
+    def spawn(sim):
+        for i in range(n_flows):
+            src, dst = rng.sample(nics, 2)
+            cap = rng.choice([None, 50.0, 250.0])
+            flows.append(
+                lan.transfer(
+                    src, dst, rng.uniform(0.05, 4.0),
+                    rate_cap_mbps=cap, label=f"f{i}",
+                )
+            )
+            if rng.random() < 0.5:
+                yield sim.timeout(rng.uniform(0.0, 0.004))
+        if with_faults:
+            yield sim.timeout(0.002)
+            lan.stall_nic(nics[0])
+            lan.partition(nics[6:])
+            yield sim.timeout(0.01)
+            lan.unstall_nic(nics[0])
+            lan.heal_partition()
+
+    sim.process(spawn(sim))
+    sim.run()
+    assert all(f.finished_at is not None for f in flows)
+    trace = [(f.label, f.started_at, f.finished_at, f.elapsed) for f in flows]
+    return hashlib.sha256(repr(trace).encode()).hexdigest(), sim.events_scheduled
+
+
+# sha256 of each flow's (label, started_at, finished_at, elapsed), and
+# the kernel event count.  A separate numpy implementation of the fill
+# produced exactly these traces when they were pinned.
+CONTENTION_PINS = {
+    (0, False): ("cfa871c5af7fe60e8e1e269767ea1af7816d873cfef34909db6d78f89d7149a3", 271),
+    (1, False): ("fe513a8d895cd8b75d00ae378f95a67c51460265f783a4eaab6bc669006d738b", 262),
+    (2, False): ("d2c47f79ae065e3281f2c234f5e88bb634e0bfc44012f0d4c568553f911cc87c", 280),
+    (3, True): ("4d5c0bb9642a8ee0f5bfd45111a7fec58fbe0e123c64d1fcdb380b8cce81180c", 270),
+}
+
+
+@pytest.mark.parametrize("seed, with_faults", sorted(CONTENTION_PINS))
+def test_wide_contention_trace_is_pinned(seed, with_faults):
+    assert run_contention(seed, with_faults) == CONTENTION_PINS[seed, with_faults]
