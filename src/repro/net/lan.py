@@ -30,11 +30,12 @@ and batched:
   identical either way; the coalescing bounds the number of max-min
   passes per instant by the number of urgent batches, not by the number
   of flow mutations.
-* All rate assignment happens inside the flush, never at mutation time:
-  the flush first drains every flow at its *old* rate up to now, then
+* Rate assignment happens inside the flush, not at mutation time: the
+  flush first drains every flow at its *old* rate up to now, then
   assigns new rates.  (A new flow therefore carries rate 0 until the
   flush — assigning eagerly would let the drain charge the new rate
-  over time before the flow existed.)
+  over time before the flow existed.)  The one exception is the idle
+  LAN below.
 * Per-NIC active-flow sets are maintained on arrival/departure, so the
   progressive-filling pass seeds its residual/share-count tables directly
   instead of rebuilding them from scratch.
@@ -43,6 +44,30 @@ and batched:
   every other flow, and the wire group (all flows sharing the LAN
   segment) is only re-filled when a *wire* flow arrives, departs, or
   changes cap — loopback churn never triggers a max-min pass.
+
+Idle-LAN path
+-------------
+Under light load most transfers start on a LAN that carries no other
+flow and has no flush pending, and most completions leave it empty.
+Both ends skip the flush:
+
+* **Arrival.**  With no other flow there is nothing to drain, so
+  setting ``_last_update`` to now *is* the drain.  The rate is assigned
+  inline — ``min(cap, loopback)`` for a loopback flow, the usual
+  ``_compute_wire_rates`` pass for a wire flow, which for one flow is
+  ``min(cap, lan, src, dst)`` and still freezes a flow a stall or
+  partition blocks — and the completion wake is armed at once.
+* **Departure.**  When the wake drains the last flow and no flush is
+  pending, an empty LAN has nothing to re-rate, so no flush is queued.
+
+This is exact: the flow gets the same rate, computed by the same
+floats, at the same instant as through the flush, and its wake lands
+at the same time.  A competing flow, cap change or fault that arrives
+while the lone flow is in flight marks the LAN dirty as usual; the
+flush drains the lone flow at its inline rate and re-arms the wake
+under a new generation, so the superseded wake is ignored.  Only the
+kernel's event count changes: the skipped flushes are entries never
+pushed onto the heap.
 
 Fault hooks
 -----------
@@ -213,6 +238,7 @@ class LAN:
         self._obs_registry = None
         self._obs_flushes = None
         self._obs_transfers = None
+        self._obs_transfer_kinds: Dict[bool, object] = {}  # loopback? -> child
 
     def _obs_bind(self, registry) -> None:
         self._obs_registry = registry
@@ -225,6 +251,7 @@ class LAN:
             "Transfers started on the LAN, by path kind.",
             ("kind",),
         )
+        self._obs_transfer_kinds = {}
 
     # -- topology ---------------------------------------------------------
     def nic(self, name: str, rate_mbps: Optional[float] = None) -> NetworkInterface:
@@ -332,24 +359,40 @@ class LAN:
         if rate_cap_mbps is not None:
             _check_positive(rate_cap_mbps, "rate cap")
         flow = Flow(self, src, dst, size_mb, rate_cap_mbps, label)
+        loopback = flow._loopback
         registry = getattr(self.sim, "metrics", None)
         if registry is not None:
             if registry is not self._obs_registry:
                 self._obs_bind(registry)
-            self._obs_transfers.inc(kind="loopback" if flow._loopback else "wire")
+            child = self._obs_transfer_kinds.get(loopback)
+            if child is None:
+                # Bound on first use, so an idle kind exports no line.
+                child = self._obs_transfers.labels(
+                    kind="loopback" if loopback else "wire"
+                )
+                self._obs_transfer_kinds[loopback] = child
+            child.inc()
         self._flows.append(flow)
-        if flow._loopback:
-            # Singleton bottleneck group — but the rate is assigned in
-            # the flush (after the drain settles ``_last_update``), not
-            # here: a rate granted before the flush would be charged
-            # over the whole interval since the last drain, pre-draining
-            # the flow for time before it existed.
-            self._mark_dirty(loopback=True)
-        else:
+        if not loopback:
             self._wire.append(flow)
             self._nic_flows.setdefault(src, set()).add(flow)
             self._nic_flows.setdefault(dst, set()).add(flow)
-            self._mark_dirty(wire=True)
+        if len(self._flows) == 1 and not self._flush_pending:
+            # Idle LAN: no other flow has time to drain, so settling
+            # ``_last_update`` here is the whole drain and the rate can
+            # be assigned inline, with no flush.
+            self._last_update = self.sim.now
+            if loopback:
+                flow.rate_mbs = min(flow._cap_mbs, _LOOPBACK_RATE_MBS)
+            else:
+                self._compute_wire_rates()
+            self._arm_wake()
+        else:
+            # The rate is assigned in the flush, after the drain settles
+            # ``_last_update``: a rate granted here would be charged over
+            # the whole interval since the last drain, pre-draining the
+            # flow for time before it existed.
+            self._mark_dirty(wire=not loopback, loopback=loopback)
         return flow
 
     # -- fluid-model internals ----------------------------------------------
@@ -542,4 +585,9 @@ class LAN:
         # same-instant reactions (e.g. follow-up transfers started by
         # `done` waiters) have been applied.
         self._advance()
+        if not self._flows and not self._flush_pending:
+            # The last flow left: an empty LAN has nothing to re-rate.
+            self._wire_dirty = False
+            self._loopback_dirty = False
+            return
         self._mark_dirty()

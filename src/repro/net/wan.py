@@ -41,6 +41,7 @@ rate until restore.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -140,10 +141,17 @@ class WanLink:
         latency_s: float = 0.030,
         name: str = "wan",
     ):
-        if bandwidth_mbps <= 0:
-            raise ValueError(f"WAN bandwidth must be positive, got {bandwidth_mbps}")
-        if latency_s < 0:
-            raise ValueError(f"latency must be non-negative, got {latency_s}")
+        # Chained comparisons are False for NaN, so NaN is rejected too;
+        # a non-finite latency would make the federation lookahead NaN
+        # or inf.
+        if not 0 < bandwidth_mbps < math.inf:
+            raise ValueError(
+                f"WAN bandwidth must be positive and finite, got {bandwidth_mbps}"
+            )
+        if not 0 <= latency_s < math.inf:
+            raise ValueError(
+                f"WAN latency must be non-negative and finite, got {latency_s}"
+            )
         if lan_a is lan_b:
             raise ValueError("a WAN link must join two distinct LANs")
         self.sim = sim

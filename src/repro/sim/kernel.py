@@ -175,8 +175,10 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay!r}")
+        # One comparison that is also False for NaN: a NaN key would
+        # break the heap order and run the clock backwards.
+        if not delay >= 0:
+            raise ValueError(f"timeout delay must be non-negative, got {delay!r}")
         # Inlined Event.__init__ plus scheduling: a Timeout is born
         # triggered, so it goes straight onto the heap.
         self.sim = sim
@@ -555,9 +557,9 @@ class Simulator:
         sequence counter, so callers control same-instant tie-breaking by
         the order of their ``schedule_at`` calls.
         """
-        if time < self._now:
+        if not time >= self._now:  # also rejects NaN
             raise ValueError(
-                f"schedule_at({time}) is in the past (now={self._now})"
+                f"schedule_at({time}) is in the past or NaN (now={self._now})"
             )
         self._seq += 1
         _heappush(
@@ -598,8 +600,8 @@ class Simulator:
         heap = self._heap
         pop = _heappop
         if until is not None:
-            if until < self._now:
-                raise ValueError(f"until={until} is in the past (now={self._now})")
+            if not until >= self._now:  # also rejects NaN
+                raise ValueError(f"until={until} is in the past or NaN (now={self._now})")
             while heap and heap[0][0] <= until:
                 entry = pop(heap)
                 self._now = entry[0]
@@ -703,8 +705,8 @@ class Simulator:
         heap = self._heap
         pop = _heappop
         if until is not None:
-            if until < self._now:
-                raise ValueError(f"until={until} is in the past (now={self._now})")
+            if not until >= self._now:  # also rejects NaN
+                raise ValueError(f"until={until} is in the past or NaN (now={self._now})")
             while heap and heap[0][0] <= until:
                 profiler.note_heap_depth(len(heap))
                 entry = pop(heap)

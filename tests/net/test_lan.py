@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.net.lan import LAN, NetworkInterface
+from repro.net.lan import LAN, LOOPBACK_RATE_MBPS, NetworkInterface
 from repro.sim import Simulator
 
 
@@ -301,13 +301,15 @@ def test_active_flows_listing():
     assert lan.active_flows == []
 
 
-def run_contention(seed, with_faults=False, n_flows=48):
+def run_contention(seed, with_faults=False, n_flows=48, gap_s=0.0):
     """A randomized 48-flow, 12-NIC contention run; returns its trace.
 
     Flows get random NIC pairs, sizes, caps and staggered starts, so
     the progressive fill sees wide wire groups with mixed bottlenecks.
     ``with_faults`` stalls one NIC and partitions half the hosts
-    mid-run, then lifts both.
+    mid-run, then lifts both.  ``gap_s`` adds a fixed pause after every
+    flow: a wide gap makes arrivals sparse, so most flows start on an
+    idle LAN and leave it idle.
     """
     rng = random.Random(seed)
     sim = Simulator()
@@ -330,6 +332,8 @@ def run_contention(seed, with_faults=False, n_flows=48):
             )
             if rng.random() < 0.5:
                 yield sim.timeout(rng.uniform(0.0, 0.004))
+            if gap_s:
+                yield sim.timeout(gap_s)
         if with_faults:
             yield sim.timeout(0.002)
             lan.stall_nic(nics[0])
@@ -349,9 +353,9 @@ def run_contention(seed, with_faults=False, n_flows=48):
 # the kernel event count.  A separate numpy implementation of the fill
 # produced exactly these traces when they were pinned.
 CONTENTION_PINS = {
-    (0, False): ("cfa871c5af7fe60e8e1e269767ea1af7816d873cfef34909db6d78f89d7149a3", 271),
+    (0, False): ("cfa871c5af7fe60e8e1e269767ea1af7816d873cfef34909db6d78f89d7149a3", 269),
     (1, False): ("fe513a8d895cd8b75d00ae378f95a67c51460265f783a4eaab6bc669006d738b", 262),
-    (2, False): ("d2c47f79ae065e3281f2c234f5e88bb634e0bfc44012f0d4c568553f911cc87c", 280),
+    (2, False): ("d2c47f79ae065e3281f2c234f5e88bb634e0bfc44012f0d4c568553f911cc87c", 278),
     (3, True): ("4d5c0bb9642a8ee0f5bfd45111a7fec58fbe0e123c64d1fcdb380b8cce81180c", 270),
 }
 
@@ -359,3 +363,41 @@ CONTENTION_PINS = {
 @pytest.mark.parametrize("seed, with_faults", sorted(CONTENTION_PINS))
 def test_wide_contention_trace_is_pinned(seed, with_faults):
     assert run_contention(seed, with_faults) == CONTENTION_PINS[seed, with_faults]
+
+
+# Sparse arrivals: 38 and 35 of the 48 flows start on an idle LAN and
+# take the lone-flow path; the rest contend and go through the batched
+# flush.  The trace hashes were computed with every transfer going
+# through the flush, so they check the lone-flow path against it.
+SPARSE_CONTENTION_PINS = {
+    (4, False): ("9b941905293f310a6f11f1df12a5c89cf392d9df40475ec27dd2cdcbf68532ba", 250),
+    (5, True): ("07a455ffb866cfc077c9e7f00e19c2aaa3f1db02778f15cde1c4b065732801f0", 263),
+}
+
+
+@pytest.mark.parametrize("seed, with_faults", sorted(SPARSE_CONTENTION_PINS))
+def test_sparse_contention_trace_is_pinned(seed, with_faults):
+    pinned = SPARSE_CONTENTION_PINS[seed, with_faults]
+    assert run_contention(seed, with_faults, gap_s=0.3) == pinned
+
+
+@pytest.mark.parametrize("loopback", [False, True])
+def test_lone_transfer_is_exact_and_needs_no_flush(loopback):
+    """A flow on an idle LAN gets ``min(cap, lan, src, dst)`` inline.
+
+    Its heap entries are the wake at the drain instant, the delivery
+    timeout one latency later and ``done`` itself: no flush.
+    """
+    sim, lan = make_lan(bandwidth=100.0, latency=0.0003)
+    sim.run(until=1.7)  # a non-zero start instant
+    src = lan.nic("src", 400.0)
+    dst = src if loopback else lan.nic("dst", 80.0)
+    flow = lan.transfer(src, dst, size_mb=0.37, rate_cap_mbps=3000.0)
+    sim.run()
+    if loopback:
+        rate = min(3000.0 / 8.0, LOOPBACK_RATE_MBPS / 8.0)
+    else:
+        rate = min(3000.0 / 8.0, 100.0 / 8.0, 400.0 / 8.0, 80.0 / 8.0)
+    assert flow.finished_at == flow.started_at + 0.37 / rate + 0.0003
+    assert sim.events_scheduled == 3
+    assert lan.active_flows == []

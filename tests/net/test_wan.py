@@ -1,5 +1,7 @@
 """Tests for the WAN link between LANs."""
 
+import math
+
 import pytest
 
 from repro.net.lan import LAN
@@ -27,6 +29,13 @@ def test_validation():
         WanLink(sim, lan, other, bandwidth_mbps=10, latency_s=-1)
     with pytest.raises(ValueError):
         WanLink(sim, lan, lan, bandwidth_mbps=10)
+    # Non-finite values are rejected by the link itself, not by the
+    # gateway NIC, and never reach the federation lookahead.
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="WAN bandwidth"):
+            WanLink(sim, lan, other, bandwidth_mbps=bad)
+        with pytest.raises(ValueError, match="WAN latency"):
+            WanLink(sim, lan, other, bandwidth_mbps=10, latency_s=bad)
 
 
 def test_wan_is_the_bottleneck():

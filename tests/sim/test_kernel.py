@@ -35,6 +35,13 @@ def test_timeout_negative_delay_rejected():
     sim = Simulator()
     with pytest.raises(ValueError):
         sim.timeout(-1)
+    # NaN compares False both ways; a NaN heap key would break the
+    # heap order and run the clock backwards.
+    with pytest.raises(ValueError):
+        sim.timeout(float("nan"))
+    # An infinite delay stays legal: it sorts after every finite event.
+    sim.timeout(float("inf"))
+    assert sim.peek() == float("inf")
 
 
 def test_timeout_carries_value():
@@ -97,6 +104,10 @@ def test_run_until_in_past_rejected():
     sim.run(until=10)
     with pytest.raises(ValueError):
         sim.run(until=5)
+    # A NaN horizon would otherwise pass and set the clock to NaN.
+    with pytest.raises(ValueError):
+        sim.run(until=float("nan"))
+    assert sim.now == 10
 
 
 def test_process_return_value_visible_to_waiter():

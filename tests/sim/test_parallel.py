@@ -71,6 +71,8 @@ def test_schedule_at_rejects_the_past():
     sim.run(until=2.0)
     with pytest.raises(ValueError, match="in the past"):
         sim.schedule_at(1.5, lambda: None)
+    with pytest.raises(ValueError, match="NaN"):
+        sim.schedule_at(float("nan"), lambda: None)
 
 
 def test_run_until_horizon_is_resumable():
