@@ -24,6 +24,9 @@ This module shards a federated run across sub-kernels:
   At the barrier, the messages every shard emitted are gathered, sorted
   by ``(deliver_at, src, seq)`` — the stable sequence key — and handed
   to their destination shards before any shard starts the next epoch.
+  There is one coordinator loop and one per-epoch shard-group step:
+  the serial run is that loop driving a single group in-process, a
+  parallel run drives one group per forked worker through a pipe.
 * **Why this is safe**: a message sent at ``t in [T, T+L)`` over a link
   with latency ``lat >= L`` is delivered at ``t + lat >= T + L`` — at
   or after the next barrier.  No shard can ever receive a message from
@@ -51,6 +54,7 @@ The cross-cluster message kinds exercised by the shard model:
 from __future__ import annotations
 
 import hashlib
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
@@ -92,6 +96,14 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Pure-data topology (everything picklable: specs cross process boundaries).
 # ---------------------------------------------------------------------------
+
+def _require(name: str, value: float, positive: bool = True) -> None:
+    """Reject NaN, infinities and negatives (and zero when ``positive``)."""
+    # Chained comparisons are False for NaN, so NaN fails both forms.
+    if not (0 < value < math.inf if positive else 0 <= value < math.inf):
+        sign = "positive" if positive else "non-negative"
+        raise ValueError(f"{name} must be {sign} and finite, got {value}")
+
 
 @dataclass(frozen=True)
 class ShardMessage:
@@ -135,10 +147,9 @@ class GeoServiceSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("geo service needs a name")
-        if self.service_s <= 0:
-            raise ValueError(f"service_s must be positive, got {self.service_s}")
-        if self.request_mb < 0 or self.response_mb < 0:
-            raise ValueError("payload sizes must be non-negative")
+        _require("service_s", self.service_s)
+        _require("request_mb", self.request_mb, positive=False)
+        _require("response_mb", self.response_mb, positive=False)
 
 
 @dataclass(frozen=True)
@@ -159,8 +170,12 @@ class ClusterSpec:
             raise ValueError("cluster needs a name")
         if self.n_hosts < 1:
             raise ValueError(f"n_hosts must be >= 1, got {self.n_hosts}")
-        if self.geo_rps < 0:
-            raise ValueError(f"geo_rps must be non-negative, got {self.geo_rps}")
+        if self.workers_per_host < 1:
+            raise ValueError(
+                f"workers_per_host must be >= 1, got {self.workers_per_host}"
+            )
+        _require("host_cpu_mhz", self.host_cpu_mhz)
+        _require("geo_rps", self.geo_rps, positive=False)
         if self.geo_mean_batch < 1:
             raise ValueError(f"geo_mean_batch must be >= 1, got {self.geo_mean_batch}")
         if self.n_placements < 0:
@@ -179,15 +194,12 @@ class WanEdgeSpec:
     def __post_init__(self) -> None:
         if self.a == self.b:
             raise ValueError("a WAN edge joins two distinct clusters")
-        if self.latency_s <= 0:
+        if not 0 < self.latency_s < math.inf:
             raise ValueError(
                 "conservative synchronization needs a positive latency "
                 f"(lookahead), got {self.latency_s}"
             )
-        if self.bandwidth_mbps <= 0:
-            raise ValueError(
-                f"bandwidth must be positive, got {self.bandwidth_mbps}"
-            )
+        _require("bandwidth_mbps", self.bandwidth_mbps)
 
     def descriptor(self, size_mb: float, label: str = "") -> WanTransferDescriptor:
         return WanTransferDescriptor(
@@ -216,8 +228,10 @@ class FederationTopology:
             raise ValueError("a federation needs at least two clusters")
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate cluster names: {names}")
-        if self.image_mb <= 0:
-            raise ValueError(f"image_mb must be positive, got {self.image_mb}")
+        _require("image_mb", self.image_mb)
+        _require("placed_service_s", self.placed_service_s)
+        _require("placed_request_mb", self.placed_request_mb, positive=False)
+        _require("placed_response_mb", self.placed_response_mb, positive=False)
         broker = self.broker or names[0]
         if broker not in names:
             raise ValueError(f"broker cluster {broker!r} not in {sorted(names)}")
@@ -729,26 +743,20 @@ class ClusterShard:
 
         Crosses the worker→coordinator pipe once at the end of a run;
         the coordinator reassembles all shards' payloads into one
-        :class:`~repro.obs.federation.FederationObsResult`.
+        :class:`~repro.obs.federation.FederationObsResult`.  Metrics are
+        not here: registry dumps ship with every epoch step instead.
         """
-        payload: Dict[str, Any] = {
-            "spans": [],
-            "spans_dropped": 0,
-            "metrics": None,
-            "profile": None,
-        }
+        payload: Dict[str, Any] = {"spans": [], "spans_dropped": 0, "profile": None}
         if self.tracer is not None:
             payload["spans"] = [span.to_dict() for span in self.tracer.spans()]
             payload["spans_dropped"] = self.tracer.dropped
-        if self.registry is not None:
-            payload["metrics"] = self.registry.dump()
         if self.profiler is not None:
             payload["profile"] = self.profiler.snapshot()
         return payload
 
 
 # ---------------------------------------------------------------------------
-# The epoch coordinator: serial in-process or sharded across workers.
+# The epoch coordinator: one barrier loop over in-process or forked groups.
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -761,6 +769,8 @@ class FederationRun:
     epochs: int
     messages: int
     lookahead_s: float
+    #: Per worker: measured shard CPU (``time.process_time``) summed over
+    #: epochs — the serial run's one entry is its shards' CPU, not wall.
     worker_busy_s: List[float] = field(default_factory=list)
     #: Sum over epochs of the slowest worker's CPU time: the wall time
     #: the barrier structure would cost on dedicated cores.
@@ -797,16 +807,93 @@ class FederationRun:
         return total
 
 
-def _route(messages: List[ShardMessage]) -> Dict[str, List[ShardMessage]]:
-    """Sort globally by the stable sequence key, then split by destination."""
-    routed: Dict[str, List[ShardMessage]] = {}
-    for message in sorted(messages, key=lambda m: m.sort_key):
-        routed.setdefault(message.dst, []).append(message)
-    return routed
+class _ShardGroup:
+    """The shards one worker owns, stepped one epoch at a time.
+
+    The in-process run and every forked worker use this same object;
+    the coordinator drives it only through :meth:`answer`, by verb.
+    """
+
+    def answer(self, command: Tuple) -> Tuple[Optional[Exception], Any]:
+        """Run one ``(verb, *args)``: ``(None, result)`` or ``(error, None)``."""
+        try:
+            return None, getattr(self, command[0])(*command[1:])
+        except Exception as error:
+            return error, None
+
+    def start(
+        self, names: Sequence[str], topology: FederationTopology, seed: int,
+        duration_s: float, obs: Optional[FederationObservability],
+    ) -> None:
+        self.order = sorted(names)
+        self.shards = {
+            name: ClusterShard(topology.spec(name), topology, seed, obs=obs)
+            for name in self.order
+        }
+        for name in self.order:
+            self.shards[name].start(duration_s)
+        self.ship_metrics = obs is not None and obs.metrics
+
+    def step(self, horizon: float, inbound: Dict[str, List[ShardMessage]]):
+        """One epoch: per shard deliver → advance → drain, CPU-timed.
+
+        Returns ``(outbox, {shard: cpu_s}, quiet, {shard: metrics dump}
+        or None)``; the dumps are the per-barrier snapshot ship.
+        """
+        outbox: List[ShardMessage] = []
+        busy: Dict[str, float] = {}
+        for name in self.order:
+            shard = self.shards[name]
+            began = time.process_time()
+            shard.deliver(inbound[name])
+            shard.advance(horizon)
+            outbox.extend(shard.drain_outbox())
+            busy[name] = time.process_time() - began
+        quiet = all(self.shards[name].quiet() for name in self.order)
+        dumps = (
+            {name: self.shards[name].registry.dump() for name in self.order}
+            if self.ship_metrics
+            else None
+        )
+        return outbox, busy, quiet, dumps
+
+    def digests(self) -> Dict[str, Dict[str, Any]]:
+        return {name: self.shards[name].digest() for name in self.order}
+
+    def obs_payloads(self) -> Dict[str, Dict[str, Any]]:
+        return {name: self.shards[name].obs_payload() for name in self.order}
 
 
-def _epoch_guard(duration_s: float, epoch_s: float) -> int:
-    return 4 * (int(duration_s / epoch_s) + 64)
+class _InProcess(_ShardGroup):
+    """The serial run's one group, with a pipe's ``send``/``recv``."""
+
+    def send(self, command: Tuple) -> None:
+        self._reply = self.answer(command)
+
+    def recv(self) -> Tuple[Optional[Exception], Any]:
+        return self._reply
+
+
+def _worker_main(conn) -> None:
+    """A forked worker: answer the coordinator's commands until ``None``."""
+    group = _ShardGroup()
+    for command in iter(conn.recv, None):
+        conn.send(group.answer(command))
+
+
+def _round(groups: Sequence[Any], commands: Sequence[Tuple]) -> List[Any]:
+    """Send every group its command, then collect every reply in order.
+
+    A group's error is raised only once every reply is in, so each
+    worker is back at its pipe and stops cleanly when told to.
+    """
+    for group, command in zip(groups, commands):
+        group.send(command)
+    replies = [group.recv() for group in groups]
+    for error, _ in replies:
+        if error is not None:
+            raise error
+    return [result for _, result in replies]
 
 
 def run_federation(
@@ -818,33 +905,140 @@ def run_federation(
 ) -> FederationRun:
     """Run the federated topology to quiescence; any worker count.
 
-    ``n_workers == 1`` runs every shard in-process (the single-process
-    reference execution).  ``n_workers > 1`` assigns shards round-robin
-    to persistent worker processes and exchanges messages through the
-    coordinator at every epoch barrier.  Digests are bit-identical
-    across worker counts by construction (see the module docstring).
+    Shards are assigned round-robin (sorted by name) to ``n_workers``
+    shard groups, and one coordinator loop drives every group through
+    the same epoch barrier: send each group its own shards' messages,
+    collect the replies, route.  ``n_workers == 1`` runs the one group
+    in-process (the single-process reference execution); ``n_workers >
+    1`` runs each group in a persistent forked worker behind a pipe.
+    Digests are bit-identical across worker counts by construction (see
+    the module docstring).  An exception inside a worker is re-raised
+    here, with its type and message, once every worker has stopped.
+
+    The run's timing fields come from one
+    :class:`~repro.obs.federation.FederationProfiler` fed the measured
+    per-shard CPU of every epoch, whatever the worker count — so the
+    serial run reports its shards' CPU (zero stall), not wall time.
 
     Passing an ``obs`` spec turns on federation-wide observability:
     every shard runs its own tracer/registry/profiler, contexts ride the
     message plane, and the coordinator reassembles the result
-    (:attr:`FederationRun.observability`).  Digests are bit-identical
-    with ``obs`` on or off — observability observes, never perturbs.
+    (:attr:`FederationRun.observability`, whose ``profiler`` is the
+    run's).  Digests are bit-identical with ``obs`` on or off —
+    observability observes, never perturbs.
     """
-    if duration_s <= 0:
-        raise ValueError(f"duration must be positive, got {duration_s}")
+    if not 0 < duration_s < math.inf:
+        raise ValueError(f"duration must be positive and finite, got {duration_s}")
     if n_workers < 1:
         raise ValueError(f"n_workers must be >= 1, got {n_workers}")
     if obs is not None and not obs.enabled:
         obs = None
     n_workers = min(n_workers, len(topology.clusters))
-    if n_workers == 1:
-        return _run_serial(topology, duration_s, seed, obs)
-    return _run_parallel(topology, duration_s, seed, n_workers, obs)
+    names = sorted(spec.name for spec in topology.clusters)
+    owners = {name: index % n_workers for index, name in enumerate(names)}
+    epoch_s = topology.lookahead_s
+    guard = 4 * (int(duration_s / epoch_s) + 64)
+    profiler = FederationProfiler(epoch_s, owners)
+    fed_metrics = FederatedMetrics() if obs is not None and obs.metrics else None
+    owned = [names[worker::n_workers] for worker in range(n_workers)]
+    started = time.perf_counter()
+    groups: List[Any] = []
+    workers: List[Any] = []
+    try:
+        if n_workers == 1:
+            groups.append(_InProcess())
+        else:
+            import multiprocessing as mp
+
+            methods = mp.get_all_start_methods()
+            ctx = mp.get_context("fork" if "fork" in methods else "spawn")
+            for _ in range(n_workers):
+                conn, child = ctx.Pipe()
+                workers.append(
+                    ctx.Process(target=_worker_main, args=(child,), daemon=True)
+                )
+                workers[-1].start()
+                child.close()
+                groups.append(conn)
+        _round(groups, [
+            ("start", shards, topology, seed, duration_s, obs) for shards in owned
+        ])
+        horizon = 0.0
+        epochs = 0
+        messages = 0
+        inflight: List[ShardMessage] = []
+        while True:
+            horizon += epoch_s
+            # Sort globally by the stable sequence key, then split by
+            # destination: each group gets only its own shards' messages.
+            routed: Dict[str, List[ShardMessage]] = {name: [] for name in names}
+            for message in sorted(inflight, key=lambda m: m.sort_key):
+                routed[message.dst].append(message)
+            replies = _round(groups, [
+                ("step", horizon, {name: routed[name] for name in shards})
+                for shards in owned
+            ])
+            inflight = []
+            epoch_busy: Dict[str, float] = {}
+            all_quiet = True
+            for outbox, busy, quiet, dumps in replies:
+                inflight.extend(outbox)
+                epoch_busy.update(busy)
+                all_quiet = all_quiet and quiet
+                if fed_metrics is not None:
+                    for name, dump in dumps.items():
+                        fed_metrics.update(name, dump)
+            profiler.record_epoch(epoch_busy)
+            messages += len(inflight)
+            epochs += 1
+            if horizon >= duration_s and not inflight and all_quiet:
+                break
+            if epochs > guard:
+                raise RuntimeError(
+                    f"federation failed to quiesce within {guard} epochs "
+                    f"(horizon {horizon:.3f}s); check for self-sustaining "
+                    "message loops"
+                )
+        digests: Dict[str, Dict[str, Any]] = {}
+        for part in _round(groups, [("digests",)] * n_workers):
+            digests.update(part)
+        payloads: Dict[str, Dict[str, Any]] = {}
+        if obs is not None:
+            for part in _round(groups, [("obs_payloads",)] * n_workers):
+                payloads.update(part)
+    finally:
+        # Stop every worker before joining any, so they exit together.
+        for conn, _ in zip(groups, workers):  # none when in-process
+            try:
+                conn.send(None)
+            except OSError:  # the worker is already gone
+                pass
+        for conn, process in zip(groups, workers):
+            conn.close()
+            process.join(timeout=30)
+            process.terminate()  # a no-op once the worker has exited
+    wall = time.perf_counter() - started
+    return FederationRun(
+        digests={name: digests[name] for name in names},
+        n_workers=n_workers,
+        wall_s=wall,
+        epochs=epochs,
+        messages=messages,
+        lookahead_s=epoch_s,
+        worker_busy_s=profiler.worker_totals(),
+        critical_path_s=profiler.critical_path_s,
+        barrier_stall_fraction=profiler.stall_fraction,
+        observability=(
+            _assemble_obs(obs, profiler, fed_metrics, payloads, epochs, messages)
+            if obs is not None
+            else None
+        ),
+    )
 
 
 def _assemble_obs(
     obs: FederationObservability,
-    profiler: Optional[FederationProfiler],
+    profiler: FederationProfiler,
     fed_metrics: Optional[FederatedMetrics],
     payloads: Dict[str, Dict[str, Any]],
     epochs: int,
@@ -857,17 +1051,9 @@ def _assemble_obs(
             {name: payload["spans"] for name, payload in payloads.items()}
         )
     if fed_metrics is not None:
-        for name in sorted(payloads):
-            if payloads[name]["metrics"] is not None:
-                fed_metrics.update(name, payloads[name]["metrics"])
         fed_metrics.note_epoch(epochs, messages)
-        if profiler is not None:
-            fed_metrics.note_barrier_wait(
-                {
-                    str(worker): wait
-                    for worker, wait in enumerate(profiler.barrier_wait_by_worker())
-                }
-            )
+        waits = profiler.barrier_wait_by_worker()
+        fed_metrics.note_barrier_wait({str(w): wait for w, wait in enumerate(waits)})
     return FederationObsResult(
         spans=spans,
         spans_dropped=sum(p["spans_dropped"] for p in payloads.values()),
@@ -878,279 +1064,4 @@ def _assemble_obs(
             for name, payload in sorted(payloads.items())
             if payload["profile"] is not None
         },
-    )
-
-
-def _run_serial(
-    topology: FederationTopology,
-    duration_s: float,
-    seed: int,
-    obs: Optional[FederationObservability] = None,
-) -> FederationRun:
-    started = time.perf_counter()
-    shards = {
-        spec.name: ClusterShard(spec, topology, seed, obs=obs)
-        for spec in topology.clusters
-    }
-    order = sorted(shards)
-    for name in order:
-        shards[name].start(duration_s)
-    epoch_s = topology.lookahead_s
-    guard = _epoch_guard(duration_s, epoch_s)
-    # All shards share the one in-process "worker": the federation
-    # profiler still attributes per-shard CPU, it just sees no stall.
-    profiler = (
-        FederationProfiler(epoch_s, {name: 0 for name in order})
-        if obs is not None
-        else None
-    )
-    fed_metrics = FederatedMetrics() if obs is not None and obs.metrics else None
-    horizon = 0.0
-    epochs = 0
-    messages = 0
-    inflight: List[ShardMessage] = []
-    while True:
-        horizon += epoch_s
-        routed = _route(inflight)
-        for name in order:
-            shards[name].deliver(routed.get(name, ()))
-        if profiler is not None:
-            epoch_busy: Dict[str, float] = {}
-            for name in order:
-                began = time.process_time()
-                shards[name].advance(horizon)
-                epoch_busy[name] = time.process_time() - began
-            profiler.record_epoch(epoch_busy)
-        else:
-            for name in order:
-                shards[name].advance(horizon)
-        inflight = []
-        for name in order:
-            inflight.extend(shards[name].drain_outbox())
-        messages += len(inflight)
-        epochs += 1
-        if fed_metrics is not None:
-            # The per-barrier snapshot ship (newest wins; cumulative).
-            for name in order:
-                fed_metrics.update(name, shards[name].registry.dump())
-        if (
-            horizon >= duration_s
-            and not inflight
-            and all(shards[name].quiet() for name in order)
-        ):
-            break
-        if epochs > guard:
-            raise RuntimeError(
-                f"federation failed to quiesce within {guard} epochs "
-                f"(horizon {horizon:.3f}s); check for self-sustaining "
-                "message loops"
-            )
-    wall = time.perf_counter() - started
-    observability = None
-    if obs is not None:
-        observability = _assemble_obs(
-            obs, profiler, fed_metrics,
-            {name: shards[name].obs_payload() for name in order},
-            epochs, messages,
-        )
-    return FederationRun(
-        digests={name: shards[name].digest() for name in order},
-        n_workers=1,
-        wall_s=wall,
-        epochs=epochs,
-        messages=messages,
-        lookahead_s=epoch_s,
-        worker_busy_s=[wall],
-        critical_path_s=wall,
-        barrier_stall_fraction=0.0,
-        observability=observability,
-    )
-
-
-def _worker_main(conn, specs, topology, seed, duration_s, obs=None) -> None:
-    """A persistent sub-kernel worker: owns its shards across epochs."""
-    shards = {
-        spec.name: ClusterShard(spec, topology, seed, obs=obs) for spec in specs
-    }
-    order = sorted(shards)
-    for name in order:
-        shards[name].start(duration_s)
-    observing = obs is not None
-    try:
-        while True:
-            command = conn.recv()
-            verb = command[0]
-            if verb == "advance":
-                _, horizon, inbound = command
-                began = time.process_time()
-                outbox: List[ShardMessage] = []
-                for name in order:
-                    shards[name].deliver(inbound.get(name, ()))
-                extra = None
-                if observing:
-                    # Per-shard CPU split for the federation profiler,
-                    # plus the per-barrier registry snapshot ship.
-                    epoch_busy: Dict[str, float] = {}
-                    for name in order:
-                        t0 = time.process_time()
-                        shards[name].advance(horizon)
-                        epoch_busy[name] = time.process_time() - t0
-                    extra = {
-                        "busy": epoch_busy,
-                        "metrics": (
-                            {
-                                name: shards[name].registry.dump()
-                                for name in order
-                            }
-                            if obs.metrics
-                            else None
-                        ),
-                    }
-                else:
-                    for name in order:
-                        shards[name].advance(horizon)
-                for name in order:
-                    outbox.extend(shards[name].drain_outbox())
-                busy = time.process_time() - began
-                quiet = all(shards[name].quiet() for name in order)
-                conn.send((outbox, busy, quiet, extra))
-            elif verb == "digest":
-                conn.send({name: shards[name].digest() for name in order})
-            elif verb == "obs":
-                conn.send({name: shards[name].obs_payload() for name in order})
-            elif verb == "stop":
-                break
-    finally:
-        conn.close()
-
-
-def _run_parallel(
-    topology: FederationTopology,
-    duration_s: float,
-    seed: int,
-    n_workers: int,
-    obs: Optional[FederationObservability] = None,
-) -> FederationRun:
-    import multiprocessing as mp
-
-    methods = mp.get_all_start_methods()
-    ctx = mp.get_context("fork" if "fork" in methods else "spawn")
-    started = time.perf_counter()
-    names = sorted(spec.name for spec in topology.clusters)
-    assignment: List[List[ClusterSpec]] = [[] for _ in range(n_workers)]
-    for index, name in enumerate(names):
-        assignment[index % n_workers].append(topology.spec(name))
-    owners = {
-        spec.name: worker
-        for worker, specs in enumerate(assignment)
-        for spec in specs
-    }
-    pipes = []
-    workers = []
-    try:
-        for specs in assignment:
-            parent_conn, child_conn = ctx.Pipe()
-            process = ctx.Process(
-                target=_worker_main,
-                args=(child_conn, specs, topology, seed, duration_s, obs),
-                daemon=True,
-            )
-            process.start()
-            child_conn.close()
-            pipes.append(parent_conn)
-            workers.append(process)
-
-        epoch_s = topology.lookahead_s
-        guard = _epoch_guard(duration_s, epoch_s)
-        profiler = (
-            FederationProfiler(epoch_s, owners) if obs is not None else None
-        )
-        fed_metrics = (
-            FederatedMetrics() if obs is not None and obs.metrics else None
-        )
-        horizon = 0.0
-        epochs = 0
-        messages = 0
-        inflight: List[ShardMessage] = []
-        busy_totals = [0.0] * n_workers
-        critical_path = 0.0
-        stall = 0.0
-        while True:
-            horizon += epoch_s
-            routed = _route(inflight)
-            for worker, specs in enumerate(assignment):
-                inbound = {
-                    spec.name: routed.get(spec.name, []) for spec in specs
-                }
-                pipes[worker].send(("advance", horizon, inbound))
-            inflight = []
-            busies = []
-            all_quiet = True
-            epoch_busy: Dict[str, float] = {}
-            for worker in range(n_workers):
-                outbox, busy, quiet, extra = pipes[worker].recv()
-                inflight.extend(outbox)
-                busies.append(busy)
-                busy_totals[worker] += busy
-                all_quiet = all_quiet and quiet
-                if extra is not None:
-                    epoch_busy.update(extra["busy"])
-                    if fed_metrics is not None and extra["metrics"] is not None:
-                        for name, dump in extra["metrics"].items():
-                            fed_metrics.update(name, dump)
-            slowest = max(busies)
-            critical_path += slowest
-            stall += sum(slowest - busy for busy in busies)
-            messages += len(inflight)
-            epochs += 1
-            if profiler is not None:
-                profiler.record_epoch(epoch_busy)
-            if horizon >= duration_s and not inflight and all_quiet:
-                break
-            if epochs > guard:
-                raise RuntimeError(
-                    f"federation failed to quiesce within {guard} epochs "
-                    f"(horizon {horizon:.3f}s); check for self-sustaining "
-                    "message loops"
-                )
-
-        digests: Dict[str, Dict[str, Any]] = {}
-        for worker in range(n_workers):
-            pipes[worker].send(("digest",))
-        for worker in range(n_workers):
-            digests.update(pipes[worker].recv())
-        obs_payloads: Dict[str, Dict[str, Any]] = {}
-        if obs is not None:
-            for worker in range(n_workers):
-                pipes[worker].send(("obs",))
-            for worker in range(n_workers):
-                obs_payloads.update(pipes[worker].recv())
-        for worker in range(n_workers):
-            pipes[worker].send(("stop",))
-    finally:
-        for pipe in pipes:
-            pipe.close()
-        for process in workers:
-            process.join(timeout=30)
-            if process.is_alive():  # pragma: no cover - defensive
-                process.terminate()
-                process.join(timeout=5)
-    wall = time.perf_counter() - started
-    denominator = n_workers * critical_path
-    observability = None
-    if obs is not None:
-        observability = _assemble_obs(
-            obs, profiler, fed_metrics, obs_payloads, epochs, messages
-        )
-    return FederationRun(
-        digests={name: digests[name] for name in sorted(digests)},
-        n_workers=n_workers,
-        wall_s=wall,
-        epochs=epochs,
-        messages=messages,
-        lookahead_s=topology.lookahead_s,
-        worker_busy_s=busy_totals,
-        critical_path_s=critical_path,
-        barrier_stall_fraction=stall / denominator if denominator else 0.0,
-        observability=observability,
     )

@@ -1,5 +1,7 @@
 """Tests for the parallel federated simulator (sub-kernels + epochs)."""
 
+import multiprocessing
+
 import pytest
 
 from repro.sim import Simulator
@@ -117,6 +119,30 @@ def test_topology_validation_errors():
             clusters=clusters, edges=edges,
             geo_services=(GeoServiceSpec(name="s", home="zzz"),),
         )
+    # Non-finite and out-of-range values fail at construction, not deep
+    # in a shard's kernel (NaN slips past plain `<`/`<=` checks).
+    nan, inf = float("nan"), float("inf")
+    for bad in (nan, inf):
+        with pytest.raises(ValueError, match="positive latency"):
+            WanEdgeSpec(a="a", b="b", latency_s=bad)
+        with pytest.raises(ValueError, match="bandwidth_mbps"):
+            WanEdgeSpec(a="a", b="b", latency_s=0.05, bandwidth_mbps=bad)
+        with pytest.raises(ValueError, match="geo_rps"):
+            ClusterSpec(name="a", geo_rps=bad)
+        with pytest.raises(ValueError, match="host_cpu_mhz"):
+            ClusterSpec(name="a", host_cpu_mhz=bad)
+        for field in ("image_mb", "placed_service_s", "placed_request_mb",
+                      "placed_response_mb"):
+            with pytest.raises(ValueError, match=field):
+                FederationTopology(clusters=clusters, edges=edges, **{field: bad})
+    for field in ("service_s", "request_mb", "response_mb"):
+        with pytest.raises(ValueError, match=field):
+            GeoServiceSpec(name="s", home="a", **{field: nan})
+    for mhz in (0.0, -500.0):
+        with pytest.raises(ValueError, match="host_cpu_mhz"):
+            ClusterSpec(name="a", host_cpu_mhz=mhz)
+    with pytest.raises(ValueError, match="workers_per_host"):
+        ClusterSpec(name="a", workers_per_host=0)
     topology = FederationTopology(clusters=clusters, edges=edges)
     assert topology.lookahead_s == 0.05
     assert topology.broker == "a"
@@ -263,8 +289,9 @@ def test_worker_cap_and_validation():
     topology = build_topology(geo_rps=0.0, n_placements=0)
     capped = run_federation(topology, duration_s=0.5, seed=0, n_workers=32)
     assert capped.n_workers == len(topology.clusters)
-    with pytest.raises(ValueError, match="duration"):
-        run_federation(topology, duration_s=0.0, seed=0)
+    for duration_s in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="duration"):
+            run_federation(topology, duration_s=duration_s, seed=0)
     with pytest.raises(ValueError, match="n_workers"):
         run_federation(topology, duration_s=1.0, seed=0, n_workers=0)
 
@@ -276,3 +303,21 @@ def test_parallel_run_reports_barrier_metrics():
     assert len(run.worker_busy_s) == 2
     assert 0.0 <= run.barrier_stall_fraction < 1.0
     assert run.msgs_per_epoch > 0
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_worker_error_is_reraised_with_its_type_and_message(monkeypatch, n_workers):
+    # A fault inside a shard surfaces at the coordinator as itself, not
+    # as a bare EOFError from a dead pipe; forked workers inherit the
+    # patch, so both layouts fail the same way.
+    advance = ClusterShard.advance
+
+    def failing_advance(self, horizon):
+        if self.name == "west" and horizon > 0.2:
+            raise RuntimeError(f"boom in {self.name} at {horizon:.2f}")
+        advance(self, horizon)
+
+    monkeypatch.setattr(ClusterShard, "advance", failing_advance)
+    with pytest.raises(RuntimeError, match="boom in west at 0.2"):
+        run_federation(build_topology(), duration_s=1.0, seed=0, n_workers=n_workers)
+    assert not multiprocessing.active_children()  # every worker was joined
